@@ -10,6 +10,8 @@ import random
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .frame import FRAME_LEN, WIRE_LEN, CipherMode, SELECTIVE_SLICE
 
 
@@ -22,6 +24,10 @@ class Delivery(enum.Enum):
     DELIVERED = "delivered"
     DROPPED = "dropped"
     TAMPERED = "tampered"
+
+
+# Sidecar outcome field -> Delivery; an empty field means no outcome.
+_OUTCOMES = {"": None, **{d.value: d for d in Delivery}}
 
 
 @dataclass(frozen=True)
@@ -148,7 +154,9 @@ def load_intercepts(path) -> InterceptLog:
             if not line.strip():
                 continue
             seq_s, offset_s, outcome_s = line.split(",")
-            index[int(offset_s)] = (int(seq_s), Delivery(outcome_s) if outcome_s else None)
+            if outcome_s not in _OUTCOMES:
+                raise ValueError(f"{sidecar}: unknown outcome {outcome_s!r}")
+            index[int(offset_s)] = (int(seq_s), _OUTCOMES[outcome_s])
     for k in range(len(blob) // WIRE_LEN):
         offset = k * WIRE_LEN
         seq, outcome = index.get(offset, (k, None))
@@ -163,12 +171,10 @@ def extract_ciphertext(frames, mode: CipherMode = CipherMode.FULL) -> bytes:
     mode keeps the whole 32-byte payload; selective mode keeps only bytes
     5..27 of it.
     """
-    if isinstance(frames, InterceptLog):
-        frames = frames.frames()
-    parts = []
+    frames = frames.frames() if isinstance(frames, InterceptLog) else list(frames)
     for f in frames:
         if len(f) != WIRE_LEN:
             raise ValueError(f"wire frame is {WIRE_LEN} bytes, got {len(f)}")
-        payload = f[:FRAME_LEN]
-        parts.append(payload if mode is CipherMode.FULL else payload[SELECTIVE_SLICE])
-    return b"".join(parts)
+    wire = np.frombuffer(b"".join(frames), dtype=np.uint8).reshape(-1, WIRE_LEN)
+    ciphered = slice(0, FRAME_LEN) if mode is CipherMode.FULL else SELECTIVE_SLICE
+    return wire[:, ciphered].tobytes()

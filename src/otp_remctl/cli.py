@@ -211,6 +211,15 @@ def _load_test_bytes(args) -> bytes:
     return extract_ciphertext(load_intercepts(args.input), mode)
 
 
+# --split-bits tests: token -> (report name, per-sequence test).
+_SPLIT_TESTS = {"freq": ("frequency", rt.monobit_frequency),
+                "runs": ("runs", rt.nist_runs)}
+
+
+def _result_row(r: rt.TestResult) -> tuple:
+    return (r.test_name, r.n, r.statistic, r.p_value, r.alpha, r.passed)
+
+
 def _cmd_randtest(args) -> int:
     data = _load_test_bytes(args)
     if not data:
@@ -235,41 +244,27 @@ def _cmd_randtest(args) -> int:
         seqs = [rt.BitSequence(bits.bits[i * split:(i + 1) * split])
                 for i in range(m)]
     for token in args.tests:
-        if token == "freq":
-            if split:
-                results = [rt.monobit_frequency(s, args.alpha) for s in seqs]
-                rows.extend((r.test_name, r.n, r.statistic, r.p_value,
-                             r.alpha, r.passed) for r in results)
-                prop = rt.pass_proportion(results)
-                record(("frequency_proportion", prop.m, prop.proportion,
-                        None, prop.alpha, prop.ok),
-                       f"frequency : {prop.passed}/{prop.m} sequences passed "
-                       f"(proportion {prop.proportion:.4f}, "
-                       f"acceptance >= {prop.lower:.4f})", prop.ok)
-            else:
-                r = rt.monobit_frequency(bits, args.alpha)
-                record((r.test_name, r.n, r.statistic, r.p_value, r.alpha,
-                        r.passed),
-                       f"frequency : n={r.n} statistic={r.statistic:.4f} "
-                       f"p={r.p_value:.4f}", r.passed)
+        if split and token in _SPLIT_TESTS:
+            name, test = _SPLIT_TESTS[token]
+            results = [test(s, args.alpha) for s in seqs]
+            rows.extend(_result_row(r) for r in results)
+            prop = rt.pass_proportion(results)
+            record((f"{name}_proportion", prop.m, prop.proportion, None,
+                    prop.alpha, prop.ok),
+                   f"{name:<10}: {prop.passed}/{prop.m} sequences passed "
+                   f"(proportion {prop.proportion:.4f}, "
+                   f"acceptance >= {prop.lower:.4f})", prop.ok)
+        elif token == "freq":
+            r = rt.monobit_frequency(bits, args.alpha)
+            record(_result_row(r),
+                   f"frequency : n={r.n} statistic={r.statistic:.4f} "
+                   f"p={r.p_value:.4f}", r.passed)
         elif token == "runs":
-            if split:
-                results = [rt.nist_runs(s, args.alpha) for s in seqs]
-                rows.extend((r.test_name, r.n, r.statistic, r.p_value,
-                             r.alpha, r.passed) for r in results)
-                prop = rt.pass_proportion(results)
-                record(("runs_proportion", prop.m, prop.proportion,
-                        None, prop.alpha, prop.ok),
-                       f"runs      : {prop.passed}/{prop.m} sequences passed "
-                       f"(proportion {prop.proportion:.4f}, "
-                       f"acceptance >= {prop.lower:.4f})", prop.ok)
-            else:
-                r = rt.nist_runs(bits, args.alpha)
-                note = f" ({r.note})" if r.note else ""
-                record((r.test_name, r.n, r.statistic, r.p_value, r.alpha,
-                        r.passed),
-                       f"runs      : n={r.n} V={r.statistic:.0f} "
-                       f"p={r.p_value:.4f}{note}", r.passed)
+            r = rt.nist_runs(bits, args.alpha)
+            note = f" ({r.note})" if r.note else ""
+            record(_result_row(r),
+                   f"runs      : n={r.n} V={r.statistic:.0f} "
+                   f"p={r.p_value:.4f}{note}", r.passed)
         elif token == "balance":
             b = rt.golomb_balance(bits)
             # 4 sigma of a fair-coin proportion: sigma = 1/(2 sqrt(n)).

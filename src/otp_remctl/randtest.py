@@ -5,6 +5,11 @@ the three classical binary-sequence postulates (balance, geometric
 run-length decay, delta-like autocorrelation), and the pass-proportion
 bookkeeping used when a corpus is split into many sequences.
 
+Autocorrelation counts, for each lag, the positions where the sequence
+and its shifted copy differ: bits packed into 64-bit words, XOR and
+popcount (``np.bitwise_count``, NumPy 2.0 or later).  The counts are exact
+integers, so every C(t) is the correctly rounded quotient of the exact sum.
+
 Bits are always expanded from bytes MSB-first.  The complementary error
 function is evaluated via ``math.erfc`` (the platform C library), which is
 correctly rounded to well below the 1e-10 relative error the P-value
@@ -212,17 +217,40 @@ class AutocorrSeries:
         return float(np.count_nonzero(np.abs(positive) <= bound) / taus.size)
 
 
+# Row k keeps the first k bits of a packed 64-bit word, in stream order.
+_WORD_MASKS = np.packbits(np.tri(65, 64, -1, dtype=np.uint8), axis=1).view(np.uint64).ravel()
+
+
 def autocorrelation(seq: BitSequence, max_lag: int) -> AutocorrSeries:
-    """C(t) = (1/(n-|t|)) * sum_i x_i x_{i+|t|} with x = 2b - 1."""
+    """C(t) = (1/(n-|t|)) * sum_i x_i x_{i+|t|} with x = 2b - 1.
+
+    With D(t) the number of positions where b_i != b_{i+t}, the sum is
+    (n - t) - 2*D(t).  The bits are packed once per bit offset r = 0..7;
+    lag t = 8q + r then compares copy 0 with copy r from byte q on, one
+    XOR and popcount over 64-bit words, the last word masked to the
+    overlap.  D(t) is an exact integer, so each value is the correctly
+    rounded quotient of the exact sum by n - t, the same float as a
+    direct evaluation of the sum.
+    """
     n = seq.n
     if not 0 < max_lag < n:
         raise LagOutOfRange(f"max_lag must be in (0, {n}), got {max_lag}")
-    x = seq.bits.astype(np.float64) * 2.0 - 1.0
+    # Padded so that every lag's word slice stays inside its copy.
+    copies = np.zeros((8, 8 * (-(-n // 64)) + 8), dtype=np.uint8)
+    for r in range(8):
+        packed = np.packbits(seq.bits[r:])
+        copies[r, :packed.size] = packed
+    base = copies[0].view(np.uint64)
     positive = np.empty(max_lag + 1)
     positive[0] = 1.0
     for tau in range(1, max_lag + 1):
-        # Products are +-1, so the float64 dot is exact.
-        positive[tau] = np.dot(x[:-tau], x[tau:]) / (n - tau)
+        q, r = divmod(tau, 8)
+        overlap = n - tau
+        words = -(-overlap // 64)
+        diff = base[:words] ^ copies[r, q:q + 8 * words].view(np.uint64)
+        diff[-1] &= _WORD_MASKS[overlap - 64 * (words - 1)]
+        mismatches = int(np.bitwise_count(diff).sum())
+        positive[tau] = (overlap - 2 * mismatches) / overlap
     lags = np.arange(-max_lag, max_lag + 1)
     values = np.concatenate((positive[:0:-1], positive))
     return AutocorrSeries(n, lags, values)

@@ -109,12 +109,24 @@ def test_load_rejects_ragged_corpus(tmp_path):
         load_intercepts(p)
 
 
+def test_load_rejects_unknown_outcome(tmp_path):
+    p = tmp_path / "corpus.bin"
+    p.write_bytes(_wire(0))
+    (tmp_path / "corpus.bin.idx").write_text("0,0,lost\n")
+    with pytest.raises(ValueError, match="unknown outcome"):
+        load_intercepts(p)
+
+
 def test_extract_ciphertext_modes():
     frames = [_wire(0), _wire(1)]
     full = extract_ciphertext(frames, CipherMode.FULL)
     sel = extract_ciphertext(frames, CipherMode.SELECTIVE)
     assert len(full) == 64 and full[:32] == _wire(0)[:32]
     assert len(sel) == 46 and sel[:23] == _wire(0)[5:28]
+    distinct = [bytes(range(k * 36, k * 36 + 36)) for k in range(3)]
+    assert extract_ciphertext(iter(distinct)) == b"".join(f[:32] for f in distinct)
+    assert (extract_ciphertext(distinct, CipherMode.SELECTIVE)
+            == b"".join(f[5:28] for f in distinct))
     with pytest.raises(ValueError):
         extract_ciphertext([b"\x00" * 35])
 

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from otp_remctl.cli import REGISTRY_ENV, demo_end_to_end, run
@@ -151,6 +153,40 @@ def test_randtest_split_mode(tmp_path, capsys):
                 "--split-bits", "100000"]) == 0
     out = capsys.readouterr().out
     assert "sequences passed" in out
+
+
+def test_randtest_split_rows_are_pinned(tmp_path, capsys):
+    keys = tmp_path / "keys.bin"
+    assert run(["gen-keys", "--source", "seeded:42", "--bytes", "125000",
+                "--out", str(keys)]) == 0
+    csv, js = tmp_path / "r.csv", tmp_path / "r.json"
+    assert run(["randtest", "--input", str(keys), "--tests", "freq,runs",
+                "--split-bits", "250000", "--report", str(csv),
+                "--json", str(js)]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "frequency : 4/4 sequences passed (proportion 1.0000, acceptance >= 0.8408) pass",
+        "runs      : 4/4 sequences passed (proportion 1.0000, acceptance >= 0.8408) pass",
+        "all 2 checks passed",
+    ]
+    assert csv.read_text().splitlines() == [
+        "test,n,statistic,p_value,alpha,pass",
+        "frequency,250000,0.936,0.3492731877,0.01,true",
+        "frequency,250000,0.02,0.9840433726,0.01,true",
+        "frequency,250000,0.412,0.6803394232,0.01,true",
+        "frequency,250000,0.008,0.9936169916,0.01,true",
+        "frequency_proportion,4,1,,0.01,true",
+        "runs,250000,125438,0.07947192464,0.01,true",
+        "runs,250000,125123,0.6227187774,0.01,true",
+        "runs,250000,125152,0.5429620623,0.01,true",
+        "runs,250000,124687,0.2105699105,0.01,true",
+        "runs_proportion,4,1,,0.01,true",
+    ]
+    rows = json.loads(js.read_text())
+    assert [(r["test"], r["n"], r["pass"]) for r in rows] == (
+        [("frequency", 250000, True)] * 4 + [("frequency_proportion", 4, True)]
+        + [("runs", 250000, True)] * 4 + [("runs_proportion", 4, True)])
+    assert rows[4] == {"test": "frequency_proportion", "n": 4, "statistic": 1.0,
+                       "p_value": None, "alpha": 0.01, "pass": True}
 
 
 def test_randtest_split_larger_than_input_is_runtime_error(tmp_path):

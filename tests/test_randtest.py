@@ -187,6 +187,49 @@ def test_autocorrelation_seeded_stream_is_delta_like():
     assert series.fraction_within_bound(4.0) >= 0.99
 
 
+def _dot_autocorrelation(bits: np.ndarray, max_lag: int) -> np.ndarray:
+    """The defining per-lag dot product; products are +-1, so it is exact."""
+    n = bits.size
+    x = bits.astype(np.float64) * 2.0 - 1.0
+    positive = np.empty(max_lag + 1)
+    positive[0] = 1.0
+    for tau in range(1, max_lag + 1):
+        positive[tau] = np.dot(x[:-tau], x[tau:]) / (n - tau)
+    return np.concatenate((positive[:0:-1], positive))
+
+
+_PATTERNS = {
+    "seeded": lambda n: BitSequence.from_bytes(SeededSource(n).fill(-(-n // 8))).bits[:n],
+    "ones": lambda n: np.ones(n, dtype=np.uint8),
+    "alternating": lambda n: np.arange(n, dtype=np.uint8) % 2,
+}
+
+
+# n below 8, below 64, every n mod 8, and with max_lag = n - 1 every lag
+# that is a multiple of 8 or 64 along with its neighbours on both sides.
+@pytest.mark.parametrize("n", list(range(2, 18)) + [63, 64, 65, 127, 128, 129, 517, 1031])
+@pytest.mark.parametrize("pattern", sorted(_PATTERNS))
+def test_autocorrelation_equals_dot_product_at_every_lag(n, pattern):
+    bits = _PATTERNS[pattern](n)
+    series = autocorrelation(BitSequence(bits), n - 1)
+    assert np.array_equal(series.values, _dot_autocorrelation(bits, n - 1))
+
+
+def test_autocorrelation_equals_dot_product_on_a_long_sequence():
+    bits = _seeded_bits(6, 12_501).bits[:100_003]
+    series = autocorrelation(BitSequence(bits), 300)
+    assert np.array_equal(series.values, _dot_autocorrelation(bits, 300))
+
+
+@given(st.lists(st.integers(0, 1), min_size=2, max_size=400), st.data())
+@settings(max_examples=200, deadline=None)
+def test_autocorrelation_equals_dot_product_on_drawn_bits(raw, data):
+    bits = np.array(raw, dtype=np.uint8)
+    max_lag = data.draw(st.integers(1, bits.size - 1))
+    series = autocorrelation(BitSequence(bits), max_lag)
+    assert np.array_equal(series.values, _dot_autocorrelation(bits, max_lag))
+
+
 def test_pass_proportion_examples():
     all_pass = [TestResult("frequency", 100, 0.0, 0.5) for _ in range(20)]
     p = pass_proportion(all_pass)
