@@ -26,7 +26,7 @@ from .channel import Channel, ChannelConfig, TamperModel, export_intercepts, \
 from .entropy import SeededSource, make_source
 from .errors import OtpRemctlError
 from .frame import FRAME_LEN, CipherMode, CommandRegistry, standard_registry
-from .keystore import FULL_BLOCK_SIZE, SELECTIVE_BLOCK_SIZE, SksStore, charge
+from .keystore import FULL_BLOCK_SIZE, SksStore, charge
 from .protocol import Controlee, Controller, run_session
 from . import randtest as rt
 
@@ -110,10 +110,6 @@ def _read_script(path, registry: CommandRegistry):
     return frames
 
 
-def _mode_block_size(mode: str) -> int:
-    return FULL_BLOCK_SIZE if mode == "full" else SELECTIVE_BLOCK_SIZE
-
-
 def _cmd_gen_keys(args) -> int:
     args.source.dump(args.bytes, args.out)
     print(f"wrote {args.bytes} bytes ({args.source.kind}) to {args.out}")
@@ -121,7 +117,7 @@ def _cmd_gen_keys(args) -> int:
 
 
 def _cmd_charge(args) -> int:
-    block_size = _mode_block_size(args.mode)
+    block_size = CipherMode(args.mode).key_length
     tx_store, rx_store = charge(args.source, block_size, args.blocks)
     tx_store.save(args.controller)
     rx_store.save(args.controlee)

@@ -18,6 +18,8 @@ import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .entropy import EntropySource
 from .errors import (
     BadMagic,
@@ -89,18 +91,19 @@ class SksStore:
         self.block_count = block_count
         self._material = bytes(key_material)
         if consumed is None:
-            self._consumed = bytearray(block_count)
-        else:
-            if len(consumed) != block_count:
-                raise ValueError("consumed ledger length must equal block_count")
-            self._consumed = bytearray(1 if c else 0 for c in consumed)
-        self._consumed_count = sum(self._consumed)
+            consumed = bytes(block_count)
+        if len(consumed) != block_count:
+            raise ValueError("consumed ledger length must equal block_count")
+        if isinstance(consumed, bytes):  # numpy reads bytes as one scalar, not a sequence
+            consumed = memoryview(consumed)
+        self._consumed = bytearray(np.asarray(consumed, dtype=bool))
+        self._consumed_count = self._consumed.count(1)
         self._next = 0
         self._advance()
 
     def _advance(self) -> None:
-        while self._next < self.block_count and self._consumed[self._next]:
-            self._next += 1
+        found = self._consumed.find(0, self._next)
+        self._next = self.block_count if found < 0 else found
 
     @property
     def key_material(self) -> bytes:
@@ -150,30 +153,24 @@ class SksStore:
         Idempotent: a no-op when ``addr`` is at or below next_expected.
         """
         limit = min(_index(addr), self.block_count)
-        burned = 0
-        for i in range(self._next, limit):
-            if not self._consumed[i]:
-                self._consumed[i] = 1
-                burned += 1
-        if burned:
-            self._consumed_count += burned
-            self._advance()
+        if limit <= self._next:
+            return 0
+        burned = self._consumed.count(0, self._next, limit)
+        self._consumed[self._next:limit] = b"\x01" * (limit - self._next)
+        self._consumed_count += burned
+        self._advance()
         return burned
 
     def consumed_bitmap(self) -> bytes:
         """Ledger packed one bit per block, MSB-first (the file encoding)."""
-        bitmap = bytearray((self.block_count + 7) // 8)
-        for i, c in enumerate(self._consumed):
-            if c:
-                bitmap[i >> 3] |= 0x80 >> (i & 7)
-        return bytes(bitmap)
+        return np.packbits(np.frombuffer(self._consumed, np.uint8)).tobytes()
 
     def save(self, path) -> None:
         """Persist the store, ledger included, in the bit-exact file format."""
-        body = _HEADER.pack(MAGIC, VERSION, self.block_size, self.block_count)
-        body += self.consumed_bitmap()
-        body += self._material
-        Path(path).write_bytes(body + _CRC.pack(zlib.crc32(body)))
+        head = _HEADER.pack(MAGIC, VERSION, self.block_size, self.block_count)
+        head += self.consumed_bitmap()
+        crc = _CRC.pack(zlib.crc32(self._material, zlib.crc32(head)))
+        Path(path).write_bytes(b"".join((head, self._material, crc)))
 
     @classmethod
     def load(cls, path) -> "SksStore":
@@ -197,16 +194,13 @@ class SksStore:
         if len(data) > total:
             raise SksFormatError(f"{path}: {len(data) - total} trailing bytes")
         (stored_crc,) = _CRC.unpack_from(data, total - _CRC.size)
-        actual_crc = zlib.crc32(data[:total - _CRC.size])
+        actual_crc = zlib.crc32(memoryview(data)[:total - _CRC.size])
         if stored_crc != actual_crc:
             raise ChecksumMismatch(
                 f"{path}: CRC {actual_crc:#010x} != stored {stored_crc:#010x}"
             )
-        bitmap = data[_HEADER.size:_HEADER.size + bitmap_len]
-        consumed = bytearray(block_count)
-        for i in range(block_count):
-            if bitmap[i >> 3] & (0x80 >> (i & 7)):
-                consumed[i] = 1
+        bitmap = np.frombuffer(data, np.uint8, bitmap_len, _HEADER.size)
+        consumed = np.unpackbits(bitmap, count=block_count)
         material = data[_HEADER.size + bitmap_len:total - _CRC.size]
         return cls(block_size, block_count, material, consumed)
 

@@ -61,17 +61,23 @@ class RxOutcome:
         return cls(reason=reason)
 
 
+def _resolve_mode(store: SksStore, mode: CipherMode | None) -> CipherMode:
+    """``mode``, or the one the store's block size implies; it must fit the store."""
+    mode = mode if mode is not None else CipherMode.for_block_size(store.block_size)
+    if mode.key_length != store.block_size:
+        raise ValueError(
+            f"{mode.value} mode needs {mode.key_length}-byte blocks, "
+            f"store has {store.block_size}"
+        )
+    return mode
+
+
 class Controller:
     """Sender side: encrypt each command with the next unconsumed block."""
 
     def __init__(self, store: SksStore, mode: CipherMode | None = None) -> None:
         self.store = store
-        self.mode = mode if mode is not None else CipherMode.for_block_size(store.block_size)
-        if self.mode.key_length != store.block_size:
-            raise ValueError(
-                f"{self.mode.value} mode needs {self.mode.key_length}-byte blocks, "
-                f"store has {store.block_size}"
-            )
+        self.mode = _resolve_mode(store, mode)
         self.frames_sent = 0
 
     def send(self, cmd: CommandFrame) -> WireFrame:
@@ -99,12 +105,7 @@ class Controlee:
                  registry: CommandRegistry | None = None,
                  max_address_jump: int | None = None) -> None:
         self.store = store
-        self.mode = mode if mode is not None else CipherMode.for_block_size(store.block_size)
-        if self.mode.key_length != store.block_size:
-            raise ValueError(
-                f"{self.mode.value} mode needs {self.mode.key_length}-byte blocks, "
-                f"store has {store.block_size}"
-            )
+        self.mode = _resolve_mode(store, mode)
         self.registry = registry if registry is not None else standard_registry()
         self.max_address_jump = max_address_jump
         self.accepted = 0

@@ -1,10 +1,11 @@
+import random
 import struct
 import tempfile
 import zlib
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from otp_remctl.entropy import SeededSource
 from otp_remctl.errors import (
@@ -118,6 +119,84 @@ def test_remaining(make_pair):
     s.discard_through(5)
     assert s.consumed_count == 5
     assert s.remaining == 5
+
+
+@pytest.mark.parametrize("ledger", [
+    [3, 255, 0, 1, 2, 0, 0, 128, 5],
+    (3, 255, 0, 1, 2, 0, 0, 128, 5),
+    bytes([3, 255, 0, 1, 2, 0, 0, 128, 5]),
+    bytearray([3, 255, 0, 1, 2, 0, 0, 128, 5]),
+    [True, -1, None, 1, 300, 0.0, "", "x", 0.5],
+], ids=["list", "tuple", "bytes", "bytearray", "objects"])
+def test_consumed_argument_is_read_by_truthiness(ledger):
+    s = SksStore(1, 9, bytes(9), ledger)
+    assert s.consumed_bitmap() == bytes([0b11011001, 0b10000000])
+    assert s.consumed_count == 6
+    assert s.next_expected == KeyAddress(2)
+
+
+def test_consumed_argument_length_must_match():
+    with pytest.raises(ValueError, match="length must equal block_count"):
+        SksStore(1, 4, bytes(4), b"\x01\x00\x01")
+
+
+def _reference_bitmap(ledger) -> bytes:
+    """One bit per block, MSB-first, encoded one block at a time."""
+    bitmap = bytearray((len(ledger) + 7) // 8)
+    for i, c in enumerate(ledger):
+        if c:
+            bitmap[i >> 3] |= 0x80 >> (i & 7)
+    return bytes(bitmap)
+
+
+def _reference_ledger(bitmap: bytes, block_count: int) -> bytearray:
+    """Decode ``_reference_bitmap`` one block at a time; padding bits are ignored."""
+    consumed = bytearray(block_count)
+    for i in range(block_count):
+        if bitmap[i >> 3] & (0x80 >> (i & 7)):
+            consumed[i] = 1
+    return consumed
+
+
+@pytest.mark.parametrize("pattern", ["none", "all", "random", "sparse"])
+@pytest.mark.parametrize("blocks", [*range(1, 18), 63, 64, 65, 1001])
+def test_ledger_codec_matches_reference(tmp_path, blocks, pattern):
+    rng = random.Random(blocks)
+    p_take = {"none": 0.0, "all": 1.0, "random": 0.5, "sparse": 0.1}[pattern]
+    ledger = bytearray(rng.random() < p_take for _ in range(blocks))
+    store = SksStore(1, blocks, bytes(blocks))
+    for i in range(blocks):
+        if ledger[i]:
+            store.take_block(i)
+    bitmap = _reference_bitmap(ledger)
+    assert store.consumed_bitmap() == bitmap
+    p = tmp_path / "s.sks"
+    store.save(p)
+    assert p.read_bytes()[12:12 + len(bitmap)] == bitmap
+    decoded = _reference_ledger(bitmap, blocks)
+    assert decoded == ledger
+    loaded = SksStore.load(p)
+    assert [loaded.is_consumed(i) for i in range(blocks)] == [bool(c) for c in decoded]
+    assert loaded.consumed_count == sum(ledger)
+    assert loaded.next_expected == store.next_expected
+    assert loaded == store
+
+
+def test_load_ignores_bitmap_padding_bits(tmp_path, make_pair):
+    s, _ = make_pair(blocks=10)
+    s.take_block(1)
+    s.take_block(9)
+    p = tmp_path / "s.sks"
+    s.save(p)
+    raw = bytearray(p.read_bytes())
+    assert raw[13] == 0b01000000
+    raw[13] |= 0b00111111  # bits 10..15 name no block
+    raw[-4:] = struct.pack(">I", zlib.crc32(raw[:-4]))
+    p.write_bytes(bytes(raw))
+    loaded = SksStore.load(p)
+    assert loaded == s
+    assert loaded.consumed_count == 2
+    assert loaded.consumed_bitmap() == bytes([0b01000000, 0b01000000])
 
 
 def test_material_length_must_match():
@@ -242,21 +321,29 @@ def test_roundtrip_over_random_op_sequences(seed, ops):
 
 
 @given(st.integers(0, 2**32 - 1), _OPS)
+@example(0, [("take", 5), ("discard", 8)])  # a hole above next_expected: 7 burned, next is 8
 @settings(max_examples=60, deadline=None)
 def test_no_block_is_returned_twice(seed, ops):
     store, _ = charge(SeededSource(seed), FULL_BLOCK_SIZE, 24)
     seen = set()
     consumed_hwm = 0
+    model = set()  # the consumed block indices, kept apart from the store
     for op, i in ops:
         if op == "take":
             try:
                 store.take_block(i)
             except (KeyReused, OutOfRange):
+                assert i in model or i >= 24
                 continue
             assert i not in seen
             seen.add(i)
+            model.add(i)
         else:
-            store.discard_through(i)
+            burned = set(range(min(i, 24))) - model
+            assert store.discard_through(i) == len(burned)
+            model |= burned
+        assert store.next_expected == KeyAddress(min(set(range(25)) - model))
+        assert store.consumed_count == len(model)
         # the ledger only grows
         assert store.consumed_count >= consumed_hwm
         consumed_hwm = store.consumed_count
