@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .frame import FRAME_LEN, WIRE_LEN, CipherMode, SELECTIVE_SLICE
+from .frame import FRAME_LEN, WIRE_LEN, CipherMode
 
 
 class TamperModel(enum.Enum):
@@ -58,7 +58,7 @@ class Transmission:
         return self.outcome is not Delivery.DROPPED
 
 
-@dataclass
+@dataclass(slots=True)
 class Intercept:
     seq: int
     frame: bytes
@@ -176,5 +176,4 @@ def extract_ciphertext(frames, mode: CipherMode = CipherMode.FULL) -> bytes:
         if len(f) != WIRE_LEN:
             raise ValueError(f"wire frame is {WIRE_LEN} bytes, got {len(f)}")
     wire = np.frombuffer(b"".join(frames), dtype=np.uint8).reshape(-1, WIRE_LEN)
-    ciphered = slice(0, FRAME_LEN) if mode is CipherMode.FULL else SELECTIVE_SLICE
-    return wire[:, ciphered].tobytes()
+    return wire[:, mode.ciphered].tobytes()

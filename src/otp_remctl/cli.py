@@ -175,28 +175,6 @@ def _cmd_intercept_export(args) -> int:
     return 0
 
 
-def _fmt_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, float):
-        return format(value, ".10g")
-    return str(value)
-
-
-def _write_rows(path, rows) -> None:
-    lines = ["test,n,statistic,p_value,alpha,pass"]
-    for row in rows:
-        lines.append(",".join(_fmt_cell(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def _rows_json(rows) -> str:
-    keys = ("test", "n", "statistic", "p_value", "alpha", "pass")
-    return json.dumps([dict(zip(keys, row)) for row in rows], indent=2) + "\n"
-
-
 def _load_test_bytes(args) -> bytes:
     data = Path(args.input).read_bytes()
     if args.format == "raw":
@@ -210,10 +188,6 @@ def _load_test_bytes(args) -> bytes:
 # --split-bits tests: token -> (report name, per-sequence test).
 _SPLIT_TESTS = {"freq": ("frequency", rt.monobit_frequency),
                 "runs": ("runs", rt.nist_runs)}
-
-
-def _result_row(r: rt.TestResult) -> tuple:
-    return (r.test_name, r.n, r.statistic, r.p_value, r.alpha, r.passed)
 
 
 def _cmd_randtest(args) -> int:
@@ -243,22 +217,22 @@ def _cmd_randtest(args) -> int:
         if split and token in _SPLIT_TESTS:
             name, test = _SPLIT_TESTS[token]
             results = [test(s, args.alpha) for s in seqs]
-            rows.extend(_result_row(r) for r in results)
+            rows.extend(map(rt.result_row, results))
             prop = rt.pass_proportion(results)
-            record((f"{name}_proportion", prop.m, prop.proportion, None,
-                    prop.alpha, prop.ok),
+            record(rt.report_row(f"{name}_proportion", prop.m, prop.proportion,
+                                 None, prop.alpha, prop.ok),
                    f"{name:<10}: {prop.passed}/{prop.m} sequences passed "
                    f"(proportion {prop.proportion:.4f}, "
                    f"acceptance >= {prop.lower:.4f})", prop.ok)
         elif token == "freq":
             r = rt.monobit_frequency(bits, args.alpha)
-            record(_result_row(r),
+            record(rt.result_row(r),
                    f"frequency : n={r.n} statistic={r.statistic:.4f} "
                    f"p={r.p_value:.4f}", r.passed)
         elif token == "runs":
             r = rt.nist_runs(bits, args.alpha)
             note = f" ({r.note})" if r.note else ""
-            record(_result_row(r),
+            record(rt.result_row(r),
                    f"runs      : n={r.n} V={r.statistic:.0f} "
                    f"p={r.p_value:.4f}{note}", r.passed)
         elif token == "balance":
@@ -266,13 +240,13 @@ def _cmd_randtest(args) -> int:
             # 4 sigma of a fair-coin proportion: sigma = 1/(2 sqrt(n)).
             limit = 2.0 / math.sqrt(b.n)
             ok = b.deviation <= limit
-            record(("balance", b.n, b.deviation, None, None, ok),
+            record(rt.report_row("balance", b.n, b.deviation, None, None, ok),
                    f"balance   : n={b.n} deviation={b.deviation:.6f} "
                    f"(limit {limit:.6f})", ok)
         elif token == "runlen":
             rl = rt.golomb_run_lengths(bits)
-            record(("run_lengths", bits.n, rl.worst_excess, None, None,
-                    rl.geometric_ok),
+            record(rt.report_row("run_lengths", bits.n, rl.worst_excess, None,
+                                 None, rl.geometric_ok),
                    f"run-length: runs={rl.total_runs} "
                    f"checked 1..{rl.max_checked} "
                    f"worst-excess={rl.worst_excess:.3f}", rl.geometric_ok)
@@ -281,16 +255,16 @@ def _cmd_randtest(args) -> int:
             series = rt.autocorrelation(bits, max_lag)
             fraction = series.fraction_within_bound(4.0)
             ok = series.c(0) == 1.0 and fraction >= 0.99
-            record(("autocorrelation", bits.n, fraction, None, None, ok),
+            record(rt.report_row("autocorrelation", bits.n, fraction, None, None, ok),
                    f"autocorr  : n={bits.n} lags=1..{max_lag} "
                    f"within-bound={100 * fraction:.2f}% c0={series.c(0):g}",
                    ok)
             if args.autocorr_out:
                 Path(args.autocorr_out).write_text(rt.autocorr_csv(series))
     if args.report:
-        _write_rows(args.report, rows)
+        Path(args.report).write_text(rt.report_csv(rows))
     if args.json:
-        Path(args.json).write_text(_rows_json(rows))
+        Path(args.json).write_text(json.dumps(rows, indent=2) + "\n")
     print(f"{failures} of {len(args.tests)} checks failed" if failures
           else f"all {len(args.tests)} checks passed")
     return 3 if failures else 0
@@ -316,8 +290,8 @@ def demo_end_to_end(seed: int = 7, out=None, stream=None) -> int:
         print(f"plain      : {frame.data.hex()}", file=stream)
         for rep in range(reps):
             wire = controller.send(frame)
-            rows.append((name, rep, wire.address.index, frame.data, wire.payload))
-            print(f"cipher[{wire.address.index:3d}]: {wire.payload.hex()}",
+            rows.append((name, rep, wire.address, frame.data, wire.payload))
+            print(f"cipher[{wire.address:3d}]: {wire.payload.hex()}",
                   file=stream)
     addresses = [r[2] for r in rows]
     ciphers = np.frombuffer(b"".join(r[4] for r in rows),

@@ -18,8 +18,8 @@ import struct
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import BadLength, KeyLengthMismatch
-from .keystore import FULL_BLOCK_SIZE, SELECTIVE_BLOCK_SIZE, KeyAddress
+from .errors import BadLength, KeyLengthMismatch, OutOfRange
+from .keystore import FULL_BLOCK_SIZE, MAX_ADDRESS, SELECTIVE_BLOCK_SIZE
 
 HEADER = bytes((36, 77, 60, 16, 105))
 FRAME_LEN = 32
@@ -44,6 +44,11 @@ class CipherMode(enum.Enum):
     @property
     def key_length(self) -> int:
         return FULL_BLOCK_SIZE if self is CipherMode.FULL else SELECTIVE_BLOCK_SIZE
+
+    @property
+    def ciphered(self) -> slice:
+        """The payload bytes this mode XORs with key material."""
+        return slice(0, FRAME_LEN) if self is CipherMode.FULL else SELECTIVE_SLICE
 
     @classmethod
     def for_block_size(cls, block_size: int) -> "CipherMode":
@@ -114,10 +119,6 @@ def validate_frame(data: bytes) -> bool:
     return data[:5] == HEADER
 
 
-def _xor(a: bytes, b: bytes) -> bytes:
-    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
-
-
 @dataclass(frozen=True)
 class WireFrame:
     """The on-air unit: ciphered payload plus the key address in clear.
@@ -126,53 +127,48 @@ class WireFrame:
     information without the matching store.
     """
 
-    address: KeyAddress
+    address: int
     payload: bytes
 
     def __post_init__(self) -> None:
         if len(self.payload) != FRAME_LEN:
             raise BadLength(f"wire payload is {FRAME_LEN} bytes, got {len(self.payload)}")
+        if not 0 <= self.address <= MAX_ADDRESS:
+            raise OutOfRange(f"address must fit in 32 bits, got {self.address}")
 
     def to_bytes(self) -> bytes:
         """Serialize: 32 payload bytes, then the 4 address bytes."""
-        return self.payload + self.address.to_bytes()
+        return self.payload + self.address.to_bytes(ADDRESS_LEN, "big")
 
 
 def parse_wire(data: bytes) -> WireFrame:
     """Split a 36-byte wire frame into its payload and trailing address."""
     if len(data) != WIRE_LEN:
         raise BadLength(f"wire frame is {WIRE_LEN} bytes, got {len(data)}")
-    return WireFrame(KeyAddress.from_bytes(data[FRAME_LEN:]), bytes(data[:FRAME_LEN]))
+    return WireFrame(int.from_bytes(data[FRAME_LEN:], "big"), bytes(data[:FRAME_LEN]))
 
 
-def otp_encrypt(frame: CommandFrame, key: bytes, addr: KeyAddress,
-                mode: CipherMode = CipherMode.FULL) -> WireFrame:
-    """XOR the mode's payload region with ``key`` and attach the address."""
+def _apply_pad(data: bytes, key: bytes, mode: CipherMode) -> bytes:
+    """XOR the mode's ciphered region of ``data`` with ``key``; the rest stays clear."""
     if len(key) != mode.key_length:
         raise KeyLengthMismatch(
             f"{mode.value} mode needs a {mode.key_length}-byte key, got {len(key)}"
         )
-    data = frame.data
-    if mode is CipherMode.FULL:
-        payload = _xor(data, key)
-    else:
-        payload = data[:5] + _xor(data[SELECTIVE_SLICE], key) + data[TRAILER_SLICE]
-    if not isinstance(addr, KeyAddress):
-        addr = KeyAddress(addr)
-    return WireFrame(addr, payload)
+    region = mode.ciphered
+    pad = int.from_bytes(data[region], "big") ^ int.from_bytes(key, "big")
+    return data[:region.start] + pad.to_bytes(len(key), "big") + data[region.stop:]
+
+
+def otp_encrypt(frame: CommandFrame, key: bytes, addr: int,
+                mode: CipherMode = CipherMode.FULL) -> WireFrame:
+    """XOR the mode's payload region with ``key`` and attach the address."""
+    return WireFrame(addr, _apply_pad(frame.data, key, mode))
 
 
 def otp_decrypt(wire: WireFrame, key: bytes,
                 mode: CipherMode = CipherMode.FULL) -> bytes:
     """Invert otp_encrypt; returns a 32-byte candidate still to be validated."""
-    if len(key) != mode.key_length:
-        raise KeyLengthMismatch(
-            f"{mode.value} mode needs a {mode.key_length}-byte key, got {len(key)}"
-        )
-    payload = wire.payload
-    if mode is CipherMode.FULL:
-        return _xor(payload, key)
-    return payload[:5] + _xor(payload[SELECTIVE_SLICE], key) + payload[TRAILER_SLICE]
+    return _apply_pad(wire.payload, key, mode)
 
 
 # The five stock commands: (name, channels, aux byte 21, trailer).

@@ -15,7 +15,6 @@ On-disk format (all integers big-endian):
 
 import struct
 import zlib
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -42,28 +41,32 @@ _CRC = struct.Struct(">I")
 MAX_ADDRESS = 2**32 - 1
 
 
-@dataclass(frozen=True, order=True)
-class KeyAddress:
-    """32-bit block index; serialized as exactly 4 bytes, big-endian."""
+class KeyAddress(int):
+    """32-bit block index; serialized as exactly 4 bytes, big-endian.
 
-    index: int
+    An ``int`` in every other respect: the library itself passes plain ints.
+    """
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.index <= MAX_ADDRESS:
-            raise OutOfRange(f"address must fit in 32 bits, got {self.index}")
+    def __new__(cls, index: int) -> "KeyAddress":
+        self = super().__new__(cls, index)
+        if not 0 <= self <= MAX_ADDRESS:
+            raise OutOfRange(f"address must fit in 32 bits, got {index}")
+        return self
 
-    def to_bytes(self) -> bytes:
-        return self.index.to_bytes(4, "big")
+    @property
+    def index(self) -> int:
+        return int(self)
+
+    def to_bytes(self, length: int = 4, byteorder: str = "big", *,
+                 signed: bool = False) -> bytes:
+        """4 bytes, big-endian, unless told otherwise as ``int.to_bytes`` is."""
+        return super().to_bytes(length, byteorder, signed=signed)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "KeyAddress":
         if len(data) != 4:
             raise ValueError(f"address is 4 bytes, got {len(data)}")
         return cls(int.from_bytes(data, "big"))
-
-
-def _index(addr) -> int:
-    return addr.index if isinstance(addr, KeyAddress) else int(addr)
 
 
 class SksStore:
@@ -110,9 +113,9 @@ class SksStore:
         return self._material
 
     @property
-    def next_expected(self) -> KeyAddress:
+    def next_expected(self) -> int:
         """Smallest unconsumed index (== block_count when exhausted)."""
-        return KeyAddress(self._next)
+        return self._next
 
     @property
     def consumed_count(self) -> int:
@@ -122,37 +125,35 @@ class SksStore:
     def remaining(self) -> int:
         return self.block_count - self._consumed_count
 
-    def is_consumed(self, addr) -> bool:
-        i = _index(addr)
-        if not 0 <= i < self.block_count:
-            raise OutOfRange(f"address {i} not in store of {self.block_count} blocks")
-        return bool(self._consumed[i])
+    def is_consumed(self, addr: int) -> bool:
+        if not 0 <= addr < self.block_count:
+            raise OutOfRange(f"address {addr} not in store of {self.block_count} blocks")
+        return bool(self._consumed[addr])
 
-    def take_block(self, addr) -> bytes:
+    def take_block(self, addr: int) -> bytes:
         """Return and burn the block at ``addr``.
 
         Raises OutOfRange past the end of the store and KeyReused on a
         second take of the same address; the block's bytes are returned
         exactly once, ever.
         """
-        i = _index(addr)
-        if not 0 <= i < self.block_count:
-            raise OutOfRange(f"address {i} not in store of {self.block_count} blocks")
-        if self._consumed[i]:
-            raise KeyReused(f"key block {i} already consumed")
-        self._consumed[i] = 1
+        if not 0 <= addr < self.block_count:
+            raise OutOfRange(f"address {addr} not in store of {self.block_count} blocks")
+        if self._consumed[addr]:
+            raise KeyReused(f"key block {addr} already consumed")
+        self._consumed[addr] = 1
         self._consumed_count += 1
-        if i == self._next:
+        if addr == self._next:
             self._advance()
-        off = i * self.block_size
+        off = addr * self.block_size
         return self._material[off:off + self.block_size]
 
-    def discard_through(self, addr) -> int:
+    def discard_through(self, addr: int) -> int:
         """Burn every unconsumed block below ``addr``; return how many.
 
         Idempotent: a no-op when ``addr`` is at or below next_expected.
         """
-        limit = min(_index(addr), self.block_count)
+        limit = min(addr, self.block_count)
         if limit <= self._next:
             return 0
         burned = self._consumed.count(0, self._next, limit)

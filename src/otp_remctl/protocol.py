@@ -29,7 +29,7 @@ from .frame import (
     standard_registry,
     validate_frame,
 )
-from .keystore import KeyAddress, SksStore
+from .keystore import SksStore
 
 
 class DiscardReason(enum.Enum):
@@ -83,7 +83,7 @@ class Controller:
     def send(self, cmd: CommandFrame) -> WireFrame:
         """Consume one key block and emit the wire frame carrying its address."""
         addr = self.store.next_expected
-        if addr.index >= self.store.block_count:
+        if addr >= self.store.block_count:
             raise KeyExhausted(
                 f"store exhausted after {self.frames_sent} frames; recharge required"
             )
@@ -110,7 +110,7 @@ class Controlee:
         self.max_address_jump = max_address_jump
         self.accepted = 0
         self.discarded = 0
-        self.last_accepted_addr: KeyAddress | None = None
+        self.last_accepted_addr: int | None = None
 
     def _discard(self, reason: DiscardReason) -> RxOutcome:
         self.discarded += 1
@@ -128,7 +128,7 @@ class Controlee:
             # Already consumed (or burned): a replayed or stale frame.
             return self._discard(DiscardReason.REPLAY_OR_STALE)
         if (self.max_address_jump is not None
-                and addr.index - next_expected.index > self.max_address_jump):
+                and addr - next_expected > self.max_address_jump):
             return self._discard(DiscardReason.ADDRESS_JUMP)
         self.store.discard_through(addr)
         try:
@@ -150,7 +150,7 @@ class Controlee:
         return RxOutcome.accept(CommandFrame(plain), name)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SessionRecord:
     """One line of the session log.
 
@@ -231,7 +231,7 @@ def run_session(controller: Controller, controlee: Controlee, script,
             log.append(SessionRecord(seq, "tx", None, "exhausted", b""))
             break
         wire_bytes = wire.to_bytes()
-        addr = wire.address.index
+        addr = wire.address
         log.append(SessionRecord(seq, "tx", addr, "sent", wire_bytes))
         tx = channel.transmit(wire_bytes)
         if tx.outcome is Delivery.DROPPED:

@@ -292,31 +292,44 @@ def pass_proportion(results, alpha: float | None = None) -> ProportionResult:
                             (1.0 - alpha) - margin, (1.0 - alpha) + margin)
 
 
-def results_csv(results) -> str:
-    """CSV report: test, n, statistic, p_value, alpha, pass."""
-    lines = ["test,n,statistic,p_value,alpha,pass"]
-    for r in results:
-        lines.append(
-            f"{r.test_name},{r.n},{r.statistic:.10g},{r.p_value:.10g},"
-            f"{r.alpha:g},{str(r.passed).lower()}"
-        )
+REPORT_FIELDS = ("test", "n", "statistic", "p_value", "alpha", "pass")
+
+
+def report_row(test: str, n: int, statistic, p_value, alpha, passed: bool) -> dict:
+    """One report row keyed by REPORT_FIELDS; None marks a value a check lacks."""
+    return dict(zip(REPORT_FIELDS, (test, n, statistic, p_value, alpha, passed)))
+
+
+def result_row(r: TestResult) -> dict:
+    """A test result as a report row."""
+    return report_row(r.test_name, r.n, r.statistic, r.p_value, r.alpha, r.passed)
+
+
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return format(value, ".10g")
+    return str(value)
+
+
+def report_csv(rows) -> str:
+    """CSV of report rows: None cells empty, floats .10g, booleans lowercase."""
+    lines = [",".join(REPORT_FIELDS)]
+    lines += [",".join(_csv_cell(row[k]) for k in REPORT_FIELDS) for row in rows]
     return "\n".join(lines) + "\n"
 
 
+def results_csv(results) -> str:
+    """CSV report: test, n, statistic, p_value, alpha, pass."""
+    return report_csv(map(result_row, results))
+
+
 def results_json(results) -> str:
-    """Structured key/value report for the same results."""
-    payload = [
-        {
-            "test": r.test_name,
-            "n": r.n,
-            "statistic": r.statistic,
-            "p_value": r.p_value,
-            "alpha": r.alpha,
-            "pass": r.passed,
-            "note": r.note,
-        }
-        for r in results
-    ]
+    """Structured key/value report for the same results, notes included."""
+    payload = [{**result_row(r), "note": r.note} for r in results]
     return json.dumps(payload, indent=2) + "\n"
 
 

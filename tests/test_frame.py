@@ -4,7 +4,7 @@ import scipy.stats
 from hypothesis import given, settings, strategies as st
 
 from otp_remctl.entropy import SeededSource
-from otp_remctl.errors import BadLength, KeyLengthMismatch
+from otp_remctl.errors import BadLength, KeyLengthMismatch, OutOfRange
 from otp_remctl.frame import (
     FRAME_LEN,
     HEADER,
@@ -272,3 +272,20 @@ def test_registry_load_skips_comments(tmp_path):
     reg = CommandRegistry.load(p)
     assert reg.names() == ("Connect",)
     assert reg.lookup("Connect").data == CONNECTION
+
+
+@pytest.mark.parametrize("address", [-1, 2**32])
+def test_wire_frame_rejects_out_of_range_address(address):
+    with pytest.raises(OutOfRange):
+        WireFrame(address, bytes(32))
+
+
+@pytest.mark.parametrize("mode", list(CipherMode))
+@pytest.mark.parametrize("address", [0, 1, 2**32 - 1])
+def test_parse_wire_roundtrips_int_addresses(address, mode):
+    key = SeededSource(5).fill(mode.key_length)
+    wire = otp_encrypt(CommandFrame(CONNECTION), key, address, mode)
+    back = parse_wire(wire.to_bytes())
+    assert back == wire
+    assert type(back.address) is int and back.address == address
+    assert otp_decrypt(back, key, mode) == CONNECTION

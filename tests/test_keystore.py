@@ -347,3 +347,16 @@ def test_no_block_is_returned_twice(seed, ops):
         # the ledger only grows
         assert store.consumed_count >= consumed_hwm
         consumed_hwm = store.consumed_count
+
+
+def test_key_address_formats_as_plain_int():
+    assert str(KeyAddress(7)) == f"{KeyAddress(7)}" == repr(KeyAddress(7)) == "7"
+    assert KeyAddress(7) == 7
+
+
+def test_store_addresses_are_plain_ints(make_pair):
+    s, _ = make_pair(blocks=4)
+    assert type(s.next_expected) is int
+    s.take_block(0)
+    assert s.discard_through(2) == 1
+    assert s.is_consumed(1) and s.next_expected == 2

@@ -17,6 +17,8 @@ from otp_remctl.randtest import (
     monobit_frequency,
     nist_runs,
     pass_proportion,
+    report_csv,
+    report_row,
     results_csv,
     results_json,
     run_length_histogram,
@@ -301,3 +303,23 @@ def test_autocorr_csv_format():
     assert lines[1] == "-1,-1"
     assert lines[2] == "0,1"
     assert lines[3] == "1,-1"
+
+
+def test_report_csv_leaves_none_cells_empty():
+    rows = [report_row("balance", 800, 0.25, None, None, True)]
+    assert report_csv(rows).splitlines() == [
+        "test,n,statistic,p_value,alpha,pass",
+        "balance,800,0.25,,,true",
+    ]
+
+
+@pytest.mark.parametrize("alpha", [0.01, 0.05, 0.001, 0.123456, 1e-05, 0.5, 1.0])
+def test_results_csv_alpha_keeps_its_six_digit_format(alpha):
+    results = [TestResult("frequency", 100, 1.6, 0.1096, alpha),
+               TestResult("runs", 100, 51.0, 0.9, alpha)]
+    # The format results_csv had before it shared the report writer:
+    # alpha as :g, which .10g reproduces up to six significant digits.
+    expected = "test,n,statistic,p_value,alpha,pass\n" + "".join(
+        f"{r.test_name},{r.n},{r.statistic:.10g},{r.p_value:.10g},"
+        f"{r.alpha:g},{str(r.passed).lower()}\n" for r in results)
+    assert results_csv(results) == expected
