@@ -85,7 +85,8 @@ class FileSource(EntropySource):
     """Replays a raw byte file, e.g. a previously dumped key file.
 
     Never emits bytes past end-of-file; the cursor only moves forward, and
-    only by the bytes actually emitted.
+    only by the bytes actually emitted.  The file is opened per draw, so a
+    source holds no handle between draws and needs no closing.
     """
 
     kind = "file"
@@ -94,30 +95,17 @@ class FileSource(EntropySource):
         super().__init__()
         self.path = Path(path)
         self.cursor = 0
-        self._fh = None
 
     def _draw(self, n: int) -> bytes:
-        if self._fh is None:
-            self._fh = open(self.path, "rb")
-        data = self._fh.read(n)
+        with open(self.path, "rb") as fh:
+            fh.seek(self.cursor)
+            data = fh.read(n)
         if len(data) < n:
-            self._fh.seek(self.cursor)
             raise ExhaustedSource(
                 f"{self.path}: requested {n} bytes, only {len(data)} remain"
             )
         self.cursor += n
         return data
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
-    def __enter__(self) -> "FileSource":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
 
 def make_source(spec: str) -> EntropySource:

@@ -70,10 +70,6 @@ class CommandFrame:
         if self.data[:5] != HEADER:
             raise ValueError(f"bad frame header {self.data[:5].hex()}")
 
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "CommandFrame":
-        return cls(bytes(data))
-
     @property
     def channels(self) -> tuple:
         """The seven control-channel values."""
@@ -185,8 +181,11 @@ _STANDARD = (
 class CommandRegistry:
     """Named commands the controlee is willing to execute.
 
-    Acceptance is by exact 32-byte match, so any corruption of a ciphered
-    byte surfaces as a mismatch after decryption.
+    Registration is where frames are validated: ``add`` takes only a
+    ``CommandFrame``, whose constructor has checked the length and the
+    header.  Acceptance is an exact 32-byte match with a registered frame,
+    which implies both checks, so any corruption of a ciphered byte
+    surfaces as a mismatch after decryption.
 
     File format: one command per line, ``name: 32 comma-separated decimal
     bytes``; blank lines and ``#`` comments are skipped.
@@ -199,16 +198,10 @@ class CommandRegistry:
             for name, frame in commands:
                 self.add(name, frame)
 
-    @classmethod
-    def default(cls) -> "CommandRegistry":
-        reg = cls()
-        for name, channels, aux21, trailer in _STANDARD:
-            aux = bytearray(9)
-            aux[2] = aux21
-            reg.add(name, encode_command(channels, bytes(aux), bytes(trailer)))
-        return reg
-
     def add(self, name: str, frame: CommandFrame) -> None:
+        if not isinstance(frame, CommandFrame):
+            raise TypeError(f"command {name!r} must be a CommandFrame, "
+                            f"got {type(frame).__name__}")
         if name in self._frames:
             raise ValueError(f"duplicate command name {name!r}")
         self._frames[name] = frame
@@ -257,10 +250,15 @@ class CommandRegistry:
                 data = bytes(int(v) for v in values.split(","))
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: bytes must be decimal integers") from None
-            reg.add(name.strip(), CommandFrame.from_bytes(data))
+            reg.add(name.strip(), CommandFrame(data))
         return reg
 
 
 def standard_registry() -> CommandRegistry:
     """A fresh registry holding the five stock commands."""
-    return CommandRegistry.default()
+    reg = CommandRegistry()
+    for name, channels, aux21, trailer in _STANDARD:
+        aux = bytearray(9)
+        aux[2] = aux21
+        reg.add(name, encode_command(channels, bytes(aux), bytes(trailer)))
+    return reg

@@ -4,9 +4,12 @@ The sender burns one key block per frame and labels the frame with the
 block's address in clear.  The receiver accepts only strictly advancing
 addresses, burning any skipped blocks, so a lost frame costs its keys but
 never desynchronizes the pair.  A frame is executed only when the
-decrypted bytes equal a registered command exactly; anything else burns
-its key block and is dropped silently.  Strictly increasing addresses
-double as replay protection: a replayed address has no unconsumed key.
+decrypted bytes equal a registered ``CommandFrame`` exactly; anything
+else burns its key block and is dropped silently.  That match is the one
+acceptance check: frames are validated once, when they are registered,
+and an accepted outcome carries the registry's own frame.  Strictly
+increasing addresses double as replay protection: a replayed address has
+no unconsumed key.
 
 Each state machine is single-threaded; a controller/controlee pair may
 live on different threads and meet only through the channel.
@@ -27,7 +30,6 @@ from .frame import (
     otp_encrypt,
     parse_wire,
     standard_registry,
-    validate_frame,
 )
 from .keystore import SksStore
 
@@ -139,15 +141,12 @@ class Controlee:
             # Unreachable through this flow (consumed blocks sit below
             # next_expected), but a shared store could get here.
             return self._discard(DiscardReason.REPLAY_OR_STALE)
-        plain = otp_decrypt(wire, key, self.mode)
-        if not validate_frame(plain):
-            return self._discard(DiscardReason.VALIDATION_FAILED)
-        name = self.registry.match(plain)
+        name = self.registry.match(otp_decrypt(wire, key, self.mode))
         if name is None:
             return self._discard(DiscardReason.VALIDATION_FAILED)
         self.accepted += 1
         self.last_accepted_addr = addr
-        return RxOutcome.accept(CommandFrame(plain), name)
+        return RxOutcome.accept(self.registry.lookup(name), name)
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,3 +1,4 @@
+import gc
 import json
 
 import pytest
@@ -62,6 +63,22 @@ def test_charge_builds_matched_stores(tmp_path):
     assert sa.key_material == sb.key_material
     assert sa.block_count == 100 and sa.block_size == 32
     assert sa.consumed_count == sb.consumed_count == 0
+
+
+def test_file_source_commands_leave_no_open_file(tmp_path):
+    # Under the suite's error::ResourceWarning filter, a file handle left
+    # open by either command fails this test when it is collected.
+    keys = tmp_path / "keys.bin"
+    keys.write_bytes(bytes(range(256)) * 16)
+    copy = tmp_path / "copy.bin"
+    assert run(["gen-keys", "--source", f"file:{keys}", "--bytes", "1024",
+                "--out", str(copy)]) == 0
+    assert copy.read_bytes() == keys.read_bytes()[:1024]
+    a, b = tmp_path / "a.sks", tmp_path / "b.sks"
+    assert run(["charge", "--source", f"file:{keys}", "--blocks", "64",
+                "--controller", str(a), "--controlee", str(b)]) == 0
+    assert SksStore.load(b).key_material == keys.read_bytes()[:2048]
+    gc.collect()
 
 
 def test_charge_selective_mode(tmp_path):

@@ -63,19 +63,19 @@ def test_system_source_length_only():
 def test_file_source_replays_in_order(tmp_path):
     p = tmp_path / "keys.bin"
     p.write_bytes(bytes(range(8)))
-    with FileSource(p) as src:
-        assert src.fill(3) == bytes([0, 1, 2])
-        assert src.fill(5) == bytes([3, 4, 5, 6, 7])
+    src = FileSource(p)
+    assert src.fill(3) == bytes([0, 1, 2])
+    assert src.fill(5) == bytes([3, 4, 5, 6, 7])
 
 
 def test_file_source_exhaustion(tmp_path):
     p = tmp_path / "8bytes.bin"
     p.write_bytes(b"\x11" * 8)
-    with FileSource(p) as src:
-        with pytest.raises(ExhaustedSource):
-            src.fill(9)
-        # a failed draw consumes nothing
-        assert src.fill(8) == b"\x11" * 8
+    src = FileSource(p)
+    with pytest.raises(ExhaustedSource):
+        src.fill(9)
+    # a failed draw consumes nothing
+    assert src.fill(8) == b"\x11" * 8
 
 
 def test_dump_length_and_determinism(tmp_path):

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -255,6 +257,17 @@ def test_registry_rejects_duplicates():
         reg.add("Connection", CommandFrame(CONNECTION))
 
 
+@pytest.mark.parametrize("data", [CONNECTION, bytes(32)])
+def test_registry_add_requires_command_frame(data):
+    # a stand-in with the right attribute is refused whatever its bytes,
+    # so every registered frame has passed CommandFrame's checks
+    reg = standard_registry()
+    with pytest.raises(TypeError):
+        reg.add("Hover", SimpleNamespace(data=data))
+    assert "Hover" not in reg and len(reg) == 5
+    assert reg.match(bytes(32)) is None
+
+
 def test_registry_load_errors(tmp_path):
     p = tmp_path / "bad.reg"
     p.write_text("no separator line\n")
@@ -262,6 +275,13 @@ def test_registry_load_errors(tmp_path):
         CommandRegistry.load(p)
     p.write_text("Hover: 1,2,three\n")
     with pytest.raises(ValueError):
+        CommandRegistry.load(p)
+    bad_header = bytes(5) + CONNECTION[5:]
+    p.write_text("Hover: " + ",".join(str(b) for b in bad_header) + "\n")
+    with pytest.raises(ValueError, match="header"):
+        CommandRegistry.load(p)
+    p.write_text("Hover: " + ",".join(str(b) for b in CONNECTION[:31]) + "\n")
+    with pytest.raises(BadLength):
         CommandRegistry.load(p)
 
 

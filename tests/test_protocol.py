@@ -3,13 +3,23 @@ from hypothesis import given, settings, strategies as st
 
 from otp_remctl.channel import Channel, ChannelConfig, Delivery, TamperModel
 from otp_remctl.entropy import SeededSource
-from otp_remctl.errors import KeyExhausted
-from otp_remctl.frame import CipherMode, CommandFrame, standard_registry
+from otp_remctl.errors import BadLength, KeyExhausted, KeyReused, OutOfRange
+from otp_remctl.frame import (
+    HEADER,
+    CipherMode,
+    CommandFrame,
+    otp_decrypt,
+    otp_encrypt,
+    parse_wire,
+    standard_registry,
+    validate_frame,
+)
 from otp_remctl.keystore import KeyAddress, charge
 from otp_remctl.protocol import (
     Controlee,
     Controller,
     DiscardReason,
+    RxOutcome,
     SessionLog,
     SessionRecord,
     run_session,
@@ -46,6 +56,7 @@ def test_matched_roundtrip_accepts():
     assert out.accepted
     assert out.name == "Connection"
     assert out.frame.data == CONNECTION.data
+    assert out.frame is clee.registry.lookup(out.name)
     assert clee.last_accepted_addr == KeyAddress(0)
 
 
@@ -211,6 +222,95 @@ def test_liveness_delivered_untampered_is_accepted():
         tx = drop.transmit(ctrl.send(CONNECTION).to_bytes())
         if tx.outcome is Delivery.DELIVERED:
             assert clee.receive(tx.data).accepted
+
+
+class _HeaderCheckControlee(Controlee):
+    """Reference receive chain that Controlee.receive must equal: an
+    explicit header check before the exact registry match, and an
+    accepted frame rebuilt from the plaintext."""
+
+    def receive(self, wire_bytes):
+        try:
+            wire = parse_wire(wire_bytes)
+        except BadLength:
+            return self._discard(DiscardReason.BAD_LENGTH)
+        addr = wire.address
+        next_expected = self.store.next_expected
+        if addr < next_expected:
+            return self._discard(DiscardReason.REPLAY_OR_STALE)
+        if (self.max_address_jump is not None
+                and addr - next_expected > self.max_address_jump):
+            return self._discard(DiscardReason.ADDRESS_JUMP)
+        self.store.discard_through(addr)
+        try:
+            key = self.store.take_block(addr)
+        except OutOfRange:
+            return self._discard(DiscardReason.KEY_EXHAUSTED)
+        except KeyReused:
+            return self._discard(DiscardReason.REPLAY_OR_STALE)
+        plain = otp_decrypt(wire, key, self.mode)
+        if not validate_frame(plain):
+            return self._discard(DiscardReason.VALIDATION_FAILED)
+        name = self.registry.match(plain)
+        if name is None:
+            return self._discard(DiscardReason.VALIDATION_FAILED)
+        self.accepted += 1
+        self.last_accepted_addr = addr
+        return RxOutcome.accept(CommandFrame(plain), name)
+
+
+def _receiver_state(clee):
+    store = clee.store
+    return (store.consumed_count, store.next_expected, store.consumed_bitmap(),
+            clee.accepted, clee.discarded, clee.last_accepted_addr)
+
+
+@pytest.mark.parametrize("mode", list(CipherMode))
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_receive_matches_header_check_chain_under_hostile_input(mode, data):
+    blocks = data.draw(st.integers(1, 24), label="blocks")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    jump = data.draw(st.none() | st.integers(0, 4), label="max_address_jump")
+    tx, rx = charge(SeededSource(seed), mode.key_length, blocks)
+    _, twin = charge(SeededSource(seed), mode.key_length, blocks)
+    material = rx.key_material
+    ctrl = Controller(tx)
+    clee = Controlee(rx, max_address_jump=jump)
+    ref = _HeaderCheckControlee(twin, max_address_jump=jump)
+    names = REG.names()
+    for _ in range(data.draw(st.integers(1, 30), label="frames")):
+        kind = data.draw(st.sampled_from(["sent", "random", "header"]))
+        if kind == "sent" and ctrl.store.next_expected < blocks:
+            # a genuine frame, delivered whole or with one byte flipped
+            cmd = REG.lookup(data.draw(st.sampled_from(names)))
+            wire = bytearray(ctrl.send(cmd).to_bytes())
+            flip = data.draw(st.none() | st.integers(0, 31))
+            if flip is not None:
+                wire[flip] ^= data.draw(st.integers(1, 255))
+            wire = bytes(wire)
+        else:
+            addr = data.draw(st.integers(max(rx.next_expected - 1, 0), blocks + 1))
+            if kind == "header":
+                # decrypts to an intact header (in selective mode the header
+                # is sent in clear); the rest is random, or a stock command
+                plain = HEADER + data.draw(st.binary(min_size=27, max_size=27))
+                if data.draw(st.booleans()):
+                    plain = REG.lookup(data.draw(st.sampled_from(names))).data
+                size = mode.key_length
+                key = (material[addr * size:(addr + 1) * size] if addr < blocks
+                       else bytes(size))
+                wire = otp_encrypt(CommandFrame(plain), key, addr, mode).to_bytes()
+            else:
+                payload = data.draw(st.binary(min_size=32, max_size=32))
+                wire = payload + addr.to_bytes(4, "big")
+        got, want = clee.receive(wire), ref.receive(wire)
+        assert (got.accepted, got.name, got.reason) == \
+            (want.accepted, want.name, want.reason)
+        if got.accepted:
+            assert got.frame == want.frame
+            assert got.frame is clee.registry.lookup(got.name)
+        assert _receiver_state(clee) == _receiver_state(ref)
 
 
 def test_session_record_line_roundtrip():
