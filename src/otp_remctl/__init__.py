@@ -47,7 +47,9 @@ from .errors import (
 from .frame import (
     CHANNEL_COUNT,
     FRAME_LEN,
+    FULL_BLOCK_SIZE,
     HEADER,
+    SELECTIVE_BLOCK_SIZE,
     WIRE_LEN,
     CipherMode,
     CommandFrame,
@@ -60,13 +62,7 @@ from .frame import (
     standard_registry,
     validate_frame,
 )
-from .keystore import (
-    FULL_BLOCK_SIZE,
-    SELECTIVE_BLOCK_SIZE,
-    KeyAddress,
-    SksStore,
-    charge,
-)
+from .keystore import SksStore, charge
 from .protocol import (
     Controlee,
     Controller,

@@ -141,25 +141,46 @@ def export_intercepts(log: InterceptLog, path) -> None:
 
 
 def load_intercepts(path) -> InterceptLog:
-    """Re-read a corpus written by export_intercepts."""
+    """Re-read a corpus written by export_intercepts.
+
+    The ``.idx`` sidecar, when present, must hold exactly one line per
+    frame, line k giving offset ``36*k``; without it frame k gets seq k
+    and no outcome.
+    """
     path = Path(path)
     blob = path.read_bytes()
     if len(blob) % WIRE_LEN:
         raise ValueError(f"{path}: length {len(blob)} is not a multiple of {WIRE_LEN}")
-    log = InterceptLog()
+    count = len(blob) // WIRE_LEN
     sidecar = Path(str(path) + ".idx")
-    index = {}
-    if sidecar.exists():
-        for line in sidecar.read_text().splitlines():
+    if not sidecar.exists():
+        index = [(k, None) for k in range(count)]
+    else:
+        index = []
+        lineno = 0
+        for lineno, line in enumerate(sidecar.read_text().splitlines(), start=1):
             if not line.strip():
                 continue
-            seq_s, offset_s, outcome_s = line.split(",")
+            k = len(index)
+            if k == count:
+                raise ValueError(f"{sidecar}:{lineno}: more lines than the {count} frames")
+            try:
+                seq_s, offset_s, outcome_s = line.split(",")
+                seq, offset = int(seq_s), int(offset_s)
+            except ValueError:
+                raise ValueError(f"{sidecar}:{lineno}: expected 'seq,offset,outcome'") from None
+            if offset != k * WIRE_LEN:
+                raise ValueError(
+                    f"{sidecar}:{lineno}: offset {offset}, frame {k} is at {k * WIRE_LEN}")
             if outcome_s not in _OUTCOMES:
-                raise ValueError(f"{sidecar}: unknown outcome {outcome_s!r}")
-            index[int(offset_s)] = (int(seq_s), _OUTCOMES[outcome_s])
-    for k in range(len(blob) // WIRE_LEN):
+                raise ValueError(f"{sidecar}:{lineno}: unknown outcome {outcome_s!r}")
+            index.append((seq, _OUTCOMES[outcome_s]))
+        if len(index) != count:
+            raise ValueError(f"{sidecar}:{lineno + 1}: no line for frame {len(index)} "
+                             f"of {count}")
+    log = InterceptLog()
+    for k, (seq, outcome) in enumerate(index):
         offset = k * WIRE_LEN
-        seq, outcome = index.get(offset, (k, None))
         log.append(Intercept(seq, blob[offset:offset + WIRE_LEN], outcome))
     return log
 

@@ -25,8 +25,8 @@ from .channel import Channel, ChannelConfig, TamperModel, export_intercepts, \
     extract_ciphertext, load_intercepts
 from .entropy import SeededSource, make_source
 from .errors import OtpRemctlError
-from .frame import FRAME_LEN, CipherMode, CommandRegistry, standard_registry
-from .keystore import FULL_BLOCK_SIZE, SksStore, charge
+from .frame import FRAME_LEN, FULL_BLOCK_SIZE, CipherMode, CommandRegistry, standard_registry
+from .keystore import SksStore, charge
 from .protocol import Controlee, Controller, run_session
 from . import randtest as rt
 

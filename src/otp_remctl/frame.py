@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import BadLength, KeyLengthMismatch, OutOfRange
-from .keystore import FULL_BLOCK_SIZE, MAX_ADDRESS, SELECTIVE_BLOCK_SIZE
 
 HEADER = bytes((36, 77, 60, 16, 105))
 FRAME_LEN = 32
@@ -31,6 +30,12 @@ CHANNEL_SLICE = slice(5, 19)
 AUX_SLICE = slice(19, 28)
 TRAILER_SLICE = slice(28, 32)
 SELECTIVE_SLICE = slice(5, 28)
+
+# The pad geometry follows from the wire format: one key block per frame,
+# as long as the region its cipher mode XORs, addressed by ADDRESS_LEN bytes.
+MAX_ADDRESS = 2 ** (8 * ADDRESS_LEN) - 1
+FULL_BLOCK_SIZE = FRAME_LEN
+SELECTIVE_BLOCK_SIZE = SELECTIVE_SLICE.stop - SELECTIVE_SLICE.start
 
 _CHANNELS = struct.Struct("<7H")
 
@@ -247,10 +252,12 @@ class CommandRegistry:
             if not sep:
                 raise ValueError(f"{path}:{lineno}: expected 'name: bytes'")
             try:
-                data = bytes(int(v) for v in values.split(","))
+                ints = [int(v) for v in values.split(",")]
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: bytes must be decimal integers") from None
-            reg.add(name.strip(), CommandFrame(data))
+            if not all(0 <= b <= 255 for b in ints):
+                raise ValueError(f"{path}:{lineno}: byte values must be 0..255")
+            reg.add(name.strip(), CommandFrame(bytes(ints)))
         return reg
 
 

@@ -29,44 +29,12 @@ from .errors import (
     SksFormatError,
     TruncatedFile,
 )
-
-FULL_BLOCK_SIZE = 32
-SELECTIVE_BLOCK_SIZE = 23
+from .frame import MAX_ADDRESS, CipherMode
 
 MAGIC = b"SKS1"
 VERSION = 1
 _HEADER = struct.Struct(">4sHHI")
 _CRC = struct.Struct(">I")
-
-MAX_ADDRESS = 2**32 - 1
-
-
-class KeyAddress(int):
-    """32-bit block index; serialized as exactly 4 bytes, big-endian.
-
-    An ``int`` in every other respect: the library itself passes plain ints.
-    """
-
-    def __new__(cls, index: int) -> "KeyAddress":
-        self = super().__new__(cls, index)
-        if not 0 <= self <= MAX_ADDRESS:
-            raise OutOfRange(f"address must fit in 32 bits, got {index}")
-        return self
-
-    @property
-    def index(self) -> int:
-        return int(self)
-
-    def to_bytes(self, length: int = 4, byteorder: str = "big", *,
-                 signed: bool = False) -> bytes:
-        """4 bytes, big-endian, unless told otherwise as ``int.to_bytes`` is."""
-        return super().to_bytes(length, byteorder, signed=signed)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "KeyAddress":
-        if len(data) != 4:
-            raise ValueError(f"address is 4 bytes, got {len(data)}")
-        return cls(int.from_bytes(data, "big"))
 
 
 class SksStore:
@@ -224,11 +192,7 @@ def charge(source: EntropySource, block_size: int, block_count: int):
 
     Both copies share byte-identical material and start with empty ledgers.
     """
-    if block_size not in (FULL_BLOCK_SIZE, SELECTIVE_BLOCK_SIZE):
-        raise ValueError(
-            f"block_size must be {FULL_BLOCK_SIZE} (full) or "
-            f"{SELECTIVE_BLOCK_SIZE} (selective), got {block_size}"
-        )
+    CipherMode.for_block_size(block_size)  # raises ValueError for any other size
     if block_count < 1:
         raise ValueError(f"block_count must be positive, got {block_count}")
     material = source.fill(block_size * block_count)

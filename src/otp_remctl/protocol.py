@@ -16,7 +16,7 @@ live on different threads and meet only through the channel.
 """
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from .channel import Channel, ChannelConfig, Delivery
@@ -63,23 +63,12 @@ class RxOutcome:
         return cls(reason=reason)
 
 
-def _resolve_mode(store: SksStore, mode: CipherMode | None) -> CipherMode:
-    """``mode``, or the one the store's block size implies; it must fit the store."""
-    mode = mode if mode is not None else CipherMode.for_block_size(store.block_size)
-    if mode.key_length != store.block_size:
-        raise ValueError(
-            f"{mode.value} mode needs {mode.key_length}-byte blocks, "
-            f"store has {store.block_size}"
-        )
-    return mode
-
-
 class Controller:
     """Sender side: encrypt each command with the next unconsumed block."""
 
-    def __init__(self, store: SksStore, mode: CipherMode | None = None) -> None:
+    def __init__(self, store: SksStore) -> None:
         self.store = store
-        self.mode = _resolve_mode(store, mode)
+        self.mode = CipherMode.for_block_size(store.block_size)
         self.frames_sent = 0
 
     def send(self, cmd: CommandFrame) -> WireFrame:
@@ -103,11 +92,10 @@ class Controlee:
     (without burning the skipped blocks); by default there is no cap.
     """
 
-    def __init__(self, store: SksStore, mode: CipherMode | None = None,
-                 registry: CommandRegistry | None = None,
+    def __init__(self, store: SksStore, registry: CommandRegistry | None = None,
                  max_address_jump: int | None = None) -> None:
         self.store = store
-        self.mode = _resolve_mode(store, mode)
+        self.mode = CipherMode.for_block_size(store.block_size)
         self.registry = registry if registry is not None else standard_registry()
         self.max_address_jump = max_address_jump
         self.accepted = 0
@@ -212,16 +200,15 @@ class SessionLog:
 
 
 def run_session(controller: Controller, controlee: Controlee, script,
-                channel, seed: int | None = None) -> SessionLog:
+                channel) -> SessionLog:
     """Drive a scripted command sequence end to end and log everything.
 
     ``script`` is an iterable of CommandFrames; ``channel`` is a Channel
-    or a ChannelConfig (``seed``, when given, overrides the config seed).
-    Sender-side key exhaustion ends the session and is logged.
+    or a ChannelConfig.  Sender-side key exhaustion ends the session and
+    is logged.
     """
     if isinstance(channel, ChannelConfig):
-        cfg = channel if seed is None else replace(channel, rng_seed=seed)
-        channel = Channel(cfg)
+        channel = Channel(channel)
     log = SessionLog()
     for seq, cmd in enumerate(script):
         try:

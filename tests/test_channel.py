@@ -117,6 +117,31 @@ def test_load_rejects_unknown_outcome(tmp_path):
         load_intercepts(p)
 
 
+@pytest.mark.parametrize("frames, sidecar, where", [
+    (3, "0,0,delivered\n1,36,dropped\n2,72,tampered\n9,108,dropped\n", ":4:"),
+    (3, "0,0,delivered\n1,37,dropped\n2,72,tampered\n", ":2:"),
+    (3, "0,0,delivered\n5,0,dropped\n", ":2:"),
+    (1, "0,0,delivered\n1,36,dropped\n2,72,tampered\n", ":2:"),
+    (3, "0,0,delivered\n1,36,dropped\n", ":3:"),
+    (2, "0,0,delivered\n1,36\n", ":2:"),
+    (1, "x,0,delivered\n", ":1:"),
+], ids=["extra-line", "wrong-offset", "repeated-offset", "more-lines-than-frames",
+        "missing-line", "missing-field", "non-integer-seq"])
+def test_load_rejects_sidecar_that_contradicts_corpus(tmp_path, frames, sidecar, where):
+    p = tmp_path / "corpus.bin"
+    p.write_bytes(b"".join(_wire(i) for i in range(frames)))
+    (tmp_path / "corpus.bin.idx").write_text(sidecar)
+    with pytest.raises(ValueError, match=f"corpus.bin.idx{where}"):
+        load_intercepts(p)
+
+
+def test_load_without_sidecar_numbers_frames(tmp_path):
+    p = tmp_path / "corpus.bin"
+    p.write_bytes(_wire(0) + _wire(1))
+    loaded = load_intercepts(p)
+    assert [(r.seq, r.outcome) for r in loaded] == [(0, None), (1, None)]
+
+
 def test_extract_ciphertext_modes():
     frames = [_wire(0), _wire(1)]
     full = extract_ciphertext(frames, CipherMode.FULL)

@@ -22,7 +22,6 @@ from otp_remctl.frame import (
     standard_registry,
     validate_frame,
 )
-from otp_remctl.keystore import KeyAddress
 
 # Fixed command rows, frozen from the deployed system's byte captures.
 CONNECTION = bytes([36, 77, 60, 16, 105, 221, 5, 221, 5, 219, 5, 220, 5,
@@ -102,7 +101,7 @@ def test_validate_random_ciphertexts_never_pass():
     source = SeededSource(31)
     frame = CommandFrame(CONNECTION)
     for i in range(200):
-        wire = otp_encrypt(frame, source.fill(32), KeyAddress(i))
+        wire = otp_encrypt(frame, source.fill(32), i)
         assert validate_frame(wire.payload) is False
     # mass check: the ciphered header is valid only if the key bytes
     # covering it are all zero; expect zero such keys in 1e5 draws
@@ -115,21 +114,21 @@ def test_validate_random_ciphertexts_never_pass():
 
 def test_zero_key_is_identity():
     frame = CommandFrame(CONNECTION)
-    wire = otp_encrypt(frame, bytes(32), KeyAddress(0), CipherMode.FULL)
+    wire = otp_encrypt(frame, bytes(32), 0, CipherMode.FULL)
     assert wire.payload == CONNECTION
-    wire = otp_encrypt(frame, bytes(23), KeyAddress(0), CipherMode.SELECTIVE)
+    wire = otp_encrypt(frame, bytes(23), 0, CipherMode.SELECTIVE)
     assert wire.payload == CONNECTION
 
 
 def test_all_ff_key_oracle():
-    wire = otp_encrypt(CommandFrame(CONNECTION), b"\xff" * 32, KeyAddress(9))
+    wire = otp_encrypt(CommandFrame(CONNECTION), b"\xff" * 32, 9)
     assert wire.payload == CONNECTION_FF
-    assert wire.address == KeyAddress(9)
+    assert wire.address == 9
 
 
 def test_selective_mode_keeps_header_and_trailer_clear():
     key = SeededSource(5).fill(23)
-    wire = otp_encrypt(CommandFrame(CONNECTION), key, KeyAddress(0),
+    wire = otp_encrypt(CommandFrame(CONNECTION), key, 0,
                        CipherMode.SELECTIVE)
     assert wire.payload[:5] == CONNECTION[:5]
     assert wire.payload[28:] == CONNECTION[28:]
@@ -139,9 +138,9 @@ def test_selective_mode_keeps_header_and_trailer_clear():
 def test_key_length_is_checked():
     frame = CommandFrame(CONNECTION)
     with pytest.raises(KeyLengthMismatch):
-        otp_encrypt(frame, bytes(23), KeyAddress(0), CipherMode.FULL)
+        otp_encrypt(frame, bytes(23), 0, CipherMode.FULL)
     with pytest.raises(KeyLengthMismatch):
-        otp_decrypt(otp_encrypt(frame, bytes(32), KeyAddress(0)), bytes(31),
+        otp_decrypt(otp_encrypt(frame, bytes(32), 0), bytes(31),
                     CipherMode.FULL)
 
 
@@ -155,7 +154,7 @@ _trailer = st.binary(min_size=4, max_size=4)
 @settings(max_examples=200)
 def test_full_mode_involution(channels, aux, trailer, key, addr):
     frame = encode_command(channels, aux, trailer)
-    wire = otp_encrypt(frame, key, KeyAddress(addr), CipherMode.FULL)
+    wire = otp_encrypt(frame, key, addr, CipherMode.FULL)
     assert otp_decrypt(wire, key, CipherMode.FULL) == frame.data
 
 
@@ -164,14 +163,14 @@ def test_full_mode_involution(channels, aux, trailer, key, addr):
 @settings(max_examples=200)
 def test_selective_mode_involution(channels, aux, trailer, key, addr):
     frame = encode_command(channels, aux, trailer)
-    wire = otp_encrypt(frame, key, KeyAddress(addr), CipherMode.SELECTIVE)
+    wire = otp_encrypt(frame, key, addr, CipherMode.SELECTIVE)
     assert otp_decrypt(wire, key, CipherMode.SELECTIVE) == frame.data
 
 
 def test_parse_wire_address_is_last():
     data = bytes(32) + bytes([0, 0, 0, 5])
     wire = parse_wire(data)
-    assert wire.address == KeyAddress(5)
+    assert wire.address == 5
     assert wire.payload == bytes(32)
 
 
@@ -189,10 +188,10 @@ def test_wire_roundtrip(data):
 
 
 def test_wire_frame_length():
-    wire = WireFrame(KeyAddress(1), bytes(32))
+    wire = WireFrame(1, bytes(32))
     assert len(wire.to_bytes()) == WIRE_LEN
     with pytest.raises(BadLength):
-        WireFrame(KeyAddress(1), bytes(31))
+        WireFrame(1, bytes(31))
 
 
 def test_ciphered_bytes_are_uniform_per_position():
@@ -203,7 +202,7 @@ def test_ciphered_bytes_are_uniform_per_position():
     rows = np.empty((n, FRAME_LEN), dtype=np.uint8)
     for i in range(n):
         rows[i] = np.frombuffer(
-            otp_encrypt(frame, source.fill(32), KeyAddress(i)).payload, np.uint8)
+            otp_encrypt(frame, source.fill(32), i).payload, np.uint8)
     critical = scipy.stats.chi2.ppf(1 - 0.001, 255)
     for pos in range(FRAME_LEN):
         counts = np.bincount(rows[:, pos], minlength=256)
@@ -216,7 +215,7 @@ def test_two_encryptions_collide_at_chance_rate():
     source = SeededSource(88)
     frame = CommandFrame(CONNECTION)
     a = np.frombuffer(b"".join(
-        otp_encrypt(frame, source.fill(32), KeyAddress(i)).payload
+        otp_encrypt(frame, source.fill(32), i).payload
         for i in range(n)), np.uint8).reshape(n, FRAME_LEN)
     agree = np.count_nonzero(a[: n // 2] == a[n // 2:]) / (n // 2 * FRAME_LEN)
     # expectation 1/256 = 0.0039; 5 sigma of 32000 comparisons
@@ -282,6 +281,9 @@ def test_registry_load_errors(tmp_path):
         CommandRegistry.load(p)
     p.write_text("Hover: " + ",".join(str(b) for b in CONNECTION[:31]) + "\n")
     with pytest.raises(BadLength):
+        CommandRegistry.load(p)
+    p.write_text("Hover: " + ",".join(str(b) for b in CONNECTION[:31]) + ",300\n")
+    with pytest.raises(ValueError, match=r"bad\.reg:1: byte values must be 0\.\.255"):
         CommandRegistry.load(p)
 
 

@@ -17,38 +17,15 @@ from otp_remctl.errors import (
     SksFormatError,
     TruncatedFile,
 )
-from otp_remctl.keystore import (
-    FULL_BLOCK_SIZE,
-    SELECTIVE_BLOCK_SIZE,
-    KeyAddress,
-    SksStore,
-    charge,
-)
-
-
-def test_key_address_serialization():
-    assert KeyAddress(5).to_bytes() == b"\x00\x00\x00\x05"
-    assert KeyAddress.from_bytes(b"\x01\x02\x03\x04").index == 0x01020304
-    assert KeyAddress.from_bytes(KeyAddress(2**32 - 1).to_bytes()).index == 2**32 - 1
-
-
-def test_key_address_bounds():
-    with pytest.raises(OutOfRange):
-        KeyAddress(-1)
-    with pytest.raises(OutOfRange):
-        KeyAddress(2**32)
-
-
-def test_key_address_is_ordered():
-    assert KeyAddress(3) < KeyAddress(4)
-    assert sorted([KeyAddress(9), KeyAddress(0)])[0] == KeyAddress(0)
+from otp_remctl.frame import FULL_BLOCK_SIZE, SELECTIVE_BLOCK_SIZE
+from otp_remctl.keystore import SksStore, charge
 
 
 def test_charge_produces_matched_stores():
     a, b = charge(SeededSource(1), 32, 10)
     assert a.key_material == b.key_material
-    assert a.next_expected == KeyAddress(0)
-    assert b.next_expected == KeyAddress(0)
+    assert a.next_expected == 0
+    assert b.next_expected == 0
     assert a.consumed_count == 0
 
 
@@ -87,25 +64,25 @@ def test_matched_stores_agree_per_block(make_pair):
 def test_take_advances_next_expected(make_pair):
     s, _ = make_pair()
     s.take_block(0)
-    assert s.next_expected == KeyAddress(1)
+    assert s.next_expected == 1
     s.take_block(2)
     # 1 is still free, so it stays next
-    assert s.next_expected == KeyAddress(1)
+    assert s.next_expected == 1
     s.take_block(1)
-    assert s.next_expected == KeyAddress(3)
+    assert s.next_expected == 3
 
 
 def test_discard_through_noop(make_pair):
     s, _ = make_pair()
-    assert s.discard_through(KeyAddress(0)) == 0
-    assert s.next_expected == KeyAddress(0)
+    assert s.discard_through(0) == 0
+    assert s.next_expected == 0
 
 
 def test_discard_through_counts(make_pair):
     s, _ = make_pair()
-    assert s.discard_through(KeyAddress(3)) == 3
-    assert s.next_expected == KeyAddress(3)
-    assert s.discard_through(KeyAddress(3)) == 0
+    assert s.discard_through(3) == 3
+    assert s.next_expected == 3
+    assert s.discard_through(3) == 0
 
 
 def test_discard_through_accepts_int(make_pair):
@@ -132,7 +109,7 @@ def test_consumed_argument_is_read_by_truthiness(ledger):
     s = SksStore(1, 9, bytes(9), ledger)
     assert s.consumed_bitmap() == bytes([0b11011001, 0b10000000])
     assert s.consumed_count == 6
-    assert s.next_expected == KeyAddress(2)
+    assert s.next_expected == 2
 
 
 def test_consumed_argument_length_must_match():
@@ -214,7 +191,7 @@ def test_save_load_roundtrip(tmp_path, make_pair):
     assert loaded == s
     assert loaded.is_consumed(0) and loaded.is_consumed(7)
     assert not loaded.is_consumed(1)
-    assert loaded.next_expected == KeyAddress(1)
+    assert loaded.next_expected == 1
 
 
 def test_file_layout_is_bit_exact(tmp_path, make_pair):
@@ -342,16 +319,11 @@ def test_no_block_is_returned_twice(seed, ops):
             burned = set(range(min(i, 24))) - model
             assert store.discard_through(i) == len(burned)
             model |= burned
-        assert store.next_expected == KeyAddress(min(set(range(25)) - model))
+        assert store.next_expected == min(set(range(25)) - model)
         assert store.consumed_count == len(model)
         # the ledger only grows
         assert store.consumed_count >= consumed_hwm
         consumed_hwm = store.consumed_count
-
-
-def test_key_address_formats_as_plain_int():
-    assert str(KeyAddress(7)) == f"{KeyAddress(7)}" == repr(KeyAddress(7)) == "7"
-    assert KeyAddress(7) == 7
 
 
 def test_store_addresses_are_plain_ints(make_pair):

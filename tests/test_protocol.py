@@ -14,7 +14,7 @@ from otp_remctl.frame import (
     standard_registry,
     validate_frame,
 )
-from otp_remctl.keystore import KeyAddress, charge
+from otp_remctl.keystore import SksStore, charge
 from otp_remctl.protocol import (
     Controlee,
     Controller,
@@ -37,8 +37,8 @@ def _pair(blocks=16, block_size=32, seed=1):
 
 def test_send_uses_consecutive_addresses():
     ctrl, _ = _pair()
-    assert ctrl.send(CONNECTION).address == KeyAddress(0)
-    assert ctrl.send(FORWARD).address == KeyAddress(1)
+    assert ctrl.send(CONNECTION).address == 0
+    assert ctrl.send(FORWARD).address == 1
     assert ctrl.frames_sent == 2
 
 
@@ -57,7 +57,7 @@ def test_matched_roundtrip_accepts():
     assert out.name == "Connection"
     assert out.frame.data == CONNECTION.data
     assert out.frame is clee.registry.lookup(out.name)
-    assert clee.last_accepted_addr == KeyAddress(0)
+    assert clee.last_accepted_addr == 0
 
 
 def test_loss_burns_skipped_blocks():
@@ -75,7 +75,7 @@ def test_loss_burns_skipped_blocks():
 
 def test_plaintext_frame_is_discarded():
     _, clee = _pair()
-    wire = CONNECTION.data + KeyAddress(0).to_bytes()
+    wire = CONNECTION.data + (0).to_bytes(4, "big")
     out = clee.receive(wire)
     assert not out.accepted
     assert out.reason is DiscardReason.VALIDATION_FAILED
@@ -111,7 +111,7 @@ def test_bad_length_is_discarded():
 
 def test_exhausted_store_discards():
     ctrl, clee = _pair(blocks=2)
-    wire = CONNECTION.data + KeyAddress(5).to_bytes()
+    wire = CONNECTION.data + (5).to_bytes(4, "big")
     out = clee.receive(wire)
     assert out.reason is DiscardReason.KEY_EXHAUSTED
     # everything below the requested address is burned
@@ -121,7 +121,7 @@ def test_exhausted_store_discards():
 def test_address_jump_guard_rejects_without_burning():
     ctrl, clee = _pair(blocks=100)
     clee.max_address_jump = 10
-    wire = CONNECTION.data + KeyAddress(50).to_bytes()
+    wire = CONNECTION.data + (50).to_bytes(4, "big")
     out = clee.receive(wire)
     assert out.reason is DiscardReason.ADDRESS_JUMP
     assert clee.store.consumed_count == 0
@@ -153,12 +153,12 @@ def test_selective_mode_roundtrip_and_tamper():
     assert clee.receive(bytes(wire)).reason is DiscardReason.VALIDATION_FAILED
 
 
-def test_mode_store_mismatch_is_rejected():
-    tx, _ = charge(SeededSource(1), 32, 4)
+def test_store_without_cipher_mode_is_rejected():
+    store = SksStore(17, 4, bytes(68))
     with pytest.raises(ValueError):
-        Controller(tx, CipherMode.SELECTIVE)
+        Controller(store)
     with pytest.raises(ValueError):
-        Controlee(tx, CipherMode.SELECTIVE)
+        Controlee(store)
 
 
 def test_lossless_session():
@@ -173,8 +173,8 @@ def test_lossless_session():
 
 def test_total_loss_session():
     ctrl, clee = _pair(blocks=8)
-    log = run_session(ctrl, clee, [CONNECTION] * 5, ChannelConfig(loss_prob=1.0),
-                      seed=3)
+    log = run_session(ctrl, clee, [CONNECTION] * 5,
+                      ChannelConfig(loss_prob=1.0, rng_seed=3))
     assert len(log.events("accepted")) == 0
     assert len(log.events("dropped")) == 5
     assert ctrl.store.consumed_count == 5
