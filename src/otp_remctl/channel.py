@@ -1,8 +1,8 @@
 """Simulated lossy/tampering radio link with an eavesdropper tap.
 
-The tap sits before loss and tampering are decided: every transmitted
-frame lands in the intercept log exactly as sent, whatever happens to it
-afterwards.  Delivery is in order; there is no duplication or reordering.
+Every transmitted frame lands in the tap's intercept log exactly as sent,
+whatever happens to it on the link, together with that outcome.  Delivery
+is in order; there is no duplication or reordering.
 """
 
 import enum
@@ -53,10 +53,6 @@ class Transmission:
     outcome: Delivery
     data: bytes | None
 
-    @property
-    def delivered(self) -> bool:
-        return self.outcome is not Delivery.DROPPED
-
 
 @dataclass(slots=True)
 class Intercept:
@@ -91,25 +87,22 @@ class Channel:
         self.config = config
         self.intercepts = InterceptLog()
         self._rng = random.Random(config.rng_seed)
-        self._seq = 0
 
     def transmit(self, wire: bytes) -> Transmission:
         """Push one wire frame through the link.
 
-        The frame is logged to the tap first; then it is dropped with
-        loss_prob, else tampered with tamper_prob, else delivered intact.
+        The frame is dropped with loss_prob, else tampered with
+        tamper_prob, else delivered intact; the tap records it as sent,
+        with that outcome.
         """
-        record = Intercept(self._seq, bytes(wire))
-        self.intercepts.append(record)
-        self._seq += 1
         if self._rng.random() < self.config.loss_prob:
-            record.outcome = Delivery.DROPPED
-            return Transmission(Delivery.DROPPED, None)
-        if self._rng.random() < self.config.tamper_prob:
-            record.outcome = Delivery.TAMPERED
-            return Transmission(Delivery.TAMPERED, self._tamper(wire))
-        record.outcome = Delivery.DELIVERED
-        return Transmission(Delivery.DELIVERED, bytes(wire))
+            tx = Transmission(Delivery.DROPPED, None)
+        elif self._rng.random() < self.config.tamper_prob:
+            tx = Transmission(Delivery.TAMPERED, self._tamper(wire))
+        else:
+            tx = Transmission(Delivery.DELIVERED, bytes(wire))
+        self.intercepts.append(Intercept(len(self.intercepts), bytes(wire), tx.outcome))
+        return tx
 
     def _tamper(self, wire: bytes) -> bytes:
         mutated = bytearray(wire)

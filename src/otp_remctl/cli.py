@@ -17,12 +17,13 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
-from .channel import Channel, ChannelConfig, TamperModel, export_intercepts, \
-    extract_ciphertext, load_intercepts
+from .channel import Channel, ChannelConfig, Delivery, TamperModel, \
+    export_intercepts, extract_ciphertext, load_intercepts
 from .entropy import SeededSource, make_source
 from .errors import OtpRemctlError
 from .frame import FRAME_LEN, FULL_BLOCK_SIZE, CipherMode, CommandRegistry, standard_registry
@@ -126,8 +127,8 @@ def _cmd_charge(args) -> int:
     return 0
 
 
-def _build_session(args):
-    """Stores, state machines and channel shared by simulate and export."""
+def _cmd_session(args) -> int:
+    """simulate and intercept-export: fly the script, then report the flight."""
     controller = Controller(SksStore.load(args.controller))
     registry = resolve_registry(args.registry)
     controlee = Controlee(SksStore.load(args.controlee), registry=registry)
@@ -136,42 +137,24 @@ def _build_session(args):
              else TamperModel.RANDOMIZE_PAYLOAD)
     channel = Channel(ChannelConfig(loss_prob=args.loss, tamper_prob=args.tamper,
                                     tamper_model=model, rng_seed=args.seed))
-    return controller, controlee, script, channel
-
-
-def _session_summary(log, controller, controlee) -> str:
-    lines = [
-        f"frames sent      : {controller.frames_sent}",
-        f"dropped          : {len(log.events('dropped'))}",
-        f"tampered         : {len(log.events('tampered'))}",
-        f"accepted         : {controlee.accepted}",
-        f"discarded        : {controlee.discarded}",
-        f"keys consumed    : controller {controller.store.consumed_count}, "
-        f"controlee {controlee.store.consumed_count}",
-    ]
-    return "\n".join(lines)
-
-
-def _cmd_simulate(args) -> int:
-    controller, controlee, script, channel = _build_session(args)
     log = run_session(controller, controlee, script, channel)
+    if args.out:
+        export_intercepts(channel.intercepts, args.out)
     if args.log:
         log.save(args.log)
-    print(_session_summary(log, controller, controlee))
-    if args.log:
+    outcomes = Counter(r.outcome for r in channel.intercepts)
+    print(f"frames sent      : {controller.frames_sent}")
+    print(f"dropped          : {outcomes[Delivery.DROPPED]}")
+    print(f"tampered         : {outcomes[Delivery.TAMPERED]}")
+    print(f"accepted         : {controlee.accepted}")
+    print(f"discarded        : {controlee.discarded}")
+    print(f"keys consumed    : controller {controller.store.consumed_count}, "
+          f"controlee {controlee.store.consumed_count}")
+    if args.out:
+        print(f"intercepts       : {len(channel.intercepts)} frames "
+              f"to {args.out} (+ .idx)")
+    elif args.log:
         print(f"session log      : {args.log}")
-    return 0
-
-
-def _cmd_intercept_export(args) -> int:
-    controller, controlee, script, channel = _build_session(args)
-    log = run_session(controller, controlee, script, channel)
-    export_intercepts(channel.intercepts, args.out)
-    if args.log:
-        log.save(args.log)
-    print(_session_summary(log, controller, controlee))
-    print(f"intercepts       : {len(channel.intercepts)} frames "
-          f"to {args.out} (+ .idx)")
     return 0
 
 
@@ -344,7 +327,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--controlee", required=True, help="controlee store file")
     p.set_defaults(func=_cmd_charge)
 
-    def session_flags(p):
+    def session_parser(name, help, out_help=None):
+        """A flight subcommand; ``out_help`` adds a required --out, listed
+        before --log as the help text always has."""
+        p = sub.add_parser(name, help=help)
         p.add_argument("--controller", required=True, help="controller store file")
         p.add_argument("--controlee", required=True, help="controlee store file")
         p.add_argument("--script", required=True,
@@ -359,18 +345,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--registry", default=None,
                        help=f"command registry file (default: ${REGISTRY_ENV} "
                             "or the built-in five commands)")
+        if out_help is None:
+            p.set_defaults(out=None)
+        else:
+            p.add_argument("--out", required=True, help=out_help)
+        p.add_argument("--log", default=None, help="write the session log here")
+        p.set_defaults(func=_cmd_session)
 
-    p = sub.add_parser("simulate", help="run a scripted session over a lossy channel")
-    session_flags(p)
-    p.add_argument("--log", default=None, help="write the session log here")
-    p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("intercept-export",
-                       help="run a session and export the eavesdropped corpus")
-    session_flags(p)
-    p.add_argument("--out", required=True, help="corpus file (sidecar: <out>.idx)")
-    p.add_argument("--log", default=None, help="write the session log here")
-    p.set_defaults(func=_cmd_intercept_export)
+    session_parser("simulate", "run a scripted session over a lossy channel")
+    session_parser("intercept-export", "run a session and export the eavesdropped corpus",
+                   out_help="corpus file (sidecar: <out>.idx)")
 
     p = sub.add_parser("randtest", help="statistical randomness checks on a byte file")
     p.add_argument("--input", required=True, help="input file")

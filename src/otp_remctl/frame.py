@@ -209,6 +209,9 @@ class CommandRegistry:
                             f"got {type(frame).__name__}")
         if name in self._frames:
             raise ValueError(f"duplicate command name {name!r}")
+        if frame.data in self._by_bytes:
+            raise ValueError(f"command {name!r} has the same bytes as "
+                             f"{self._by_bytes[frame.data]!r}")
         self._frames[name] = frame
         self._by_bytes[frame.data] = name
 

@@ -37,6 +37,13 @@ _HEADER = struct.Struct(">4sHHI")
 _CRC = struct.Struct(">I")
 
 
+def _check_block_count(block_count: int) -> None:
+    if block_count < 1:
+        raise ValueError(f"block_count must be positive, got {block_count}")
+    if block_count - 1 > MAX_ADDRESS:
+        raise ValueError(f"block_count {block_count} exceeds the 32-bit address space")
+
+
 class SksStore:
     """Key material plus its consumption ledger.
 
@@ -49,10 +56,7 @@ class SksStore:
                  consumed=None) -> None:
         if block_size < 1:
             raise ValueError(f"block_size must be positive, got {block_size}")
-        if block_count < 1:
-            raise ValueError(f"block_count must be positive, got {block_count}")
-        if block_count - 1 > MAX_ADDRESS:
-            raise ValueError(f"block_count {block_count} exceeds the 32-bit address space")
+        _check_block_count(block_count)
         if len(key_material) != block_size * block_count:
             raise ValueError(
                 f"key material is {len(key_material)} bytes, "
@@ -193,8 +197,7 @@ def charge(source: EntropySource, block_size: int, block_count: int):
     Both copies share byte-identical material and start with empty ledgers.
     """
     CipherMode.for_block_size(block_size)  # raises ValueError for any other size
-    if block_count < 1:
-        raise ValueError(f"block_count must be positive, got {block_count}")
+    _check_block_count(block_count)  # before drawing any key material
     material = source.fill(block_size * block_count)
     return (SksStore(block_size, block_count, material),
             SksStore(block_size, block_count, material))

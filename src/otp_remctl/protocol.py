@@ -19,7 +19,6 @@ import enum
 from dataclasses import dataclass
 from pathlib import Path
 
-from .channel import Channel, ChannelConfig, Delivery
 from .errors import BadLength, KeyExhausted, KeyReused, OutOfRange
 from .frame import (
     CipherMode,
@@ -183,8 +182,15 @@ class SessionLog:
 
     @classmethod
     def load(cls, path) -> "SessionLog":
-        records = [SessionRecord.from_line(line)
-                   for line in Path(path).read_text().splitlines() if line.strip()]
+        records = []
+        for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+            if not line.strip():
+                continue
+            try:
+                records.append(SessionRecord.from_line(line))
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: expected "
+                                 "'seq,direction,address,event,hexdata'") from None
         return cls(records)
 
     def __len__(self) -> int:
@@ -203,12 +209,10 @@ def run_session(controller: Controller, controlee: Controlee, script,
                 channel) -> SessionLog:
     """Drive a scripted command sequence end to end and log everything.
 
-    ``script`` is an iterable of CommandFrames; ``channel`` is a Channel
-    or a ChannelConfig.  Sender-side key exhaustion ends the session and
-    is logged.
+    ``script`` is an iterable of CommandFrames; ``channel`` is anything
+    with ``transmit``, such as a Channel.  Sender-side key exhaustion ends
+    the session and is logged.
     """
-    if isinstance(channel, ChannelConfig):
-        channel = Channel(channel)
     log = SessionLog()
     for seq, cmd in enumerate(script):
         try:
@@ -220,14 +224,15 @@ def run_session(controller: Controller, controlee: Controlee, script,
         addr = wire.address
         log.append(SessionRecord(seq, "tx", addr, "sent", wire_bytes))
         tx = channel.transmit(wire_bytes)
-        if tx.outcome is Delivery.DROPPED:
-            log.append(SessionRecord(seq, "ch", addr, "dropped", wire_bytes))
+        # A dropped frame (no data out of the link) is logged as it was sent.
+        data = wire_bytes if tx.data is None else tx.data
+        log.append(SessionRecord(seq, "ch", addr, tx.outcome.value, data))
+        if tx.data is None:
             continue
-        log.append(SessionRecord(seq, "ch", addr, tx.outcome.value, tx.data))
-        outcome = controlee.receive(tx.data)
+        outcome = controlee.receive(data)
         if outcome.accepted:
             log.append(SessionRecord(seq, "rx", addr, "accepted", outcome.frame.data))
         else:
             log.append(SessionRecord(
-                seq, "rx", addr, f"discarded:{outcome.reason.value}", tx.data))
+                seq, "rx", addr, f"discarded:{outcome.reason.value}", data))
     return log

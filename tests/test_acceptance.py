@@ -112,7 +112,7 @@ def test_criterion_03_synchronization_under_loss():
     script = [REG.lookup(REG.names()[i % 5]) for i in range(n)]
     t0 = time.perf_counter()
     log = run_session(ctrl, clee, script,
-                      ChannelConfig(loss_prob=0.2, rng_seed=0))
+                      Channel(ChannelConfig(loss_prob=0.2, rng_seed=0)))
     dt = time.perf_counter() - t0
     delivered = log.events("delivered")
     accepted = {r.seq: r for r in log.events("accepted")}

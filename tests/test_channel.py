@@ -21,7 +21,7 @@ def test_clean_channel_delivers_identically():
     ch = Channel(ChannelConfig(rng_seed=0))
     tx = ch.transmit(_wire(1))
     assert tx.outcome is Delivery.DELIVERED
-    assert tx.delivered and tx.data == _wire(1)
+    assert tx.data == _wire(1)
 
 
 def test_full_loss_drops_everything():

@@ -1,11 +1,14 @@
 import gc
 import json
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from otp_remctl.cli import REGISTRY_ENV, demo_end_to_end, run
 from otp_remctl.frame import CommandRegistry, standard_registry
 from otp_remctl.keystore import SksStore
+from otp_remctl.protocol import SessionLog
 
 
 def _charge(tmp_path, blocks=64, mode="full", seed=1):
@@ -239,6 +242,51 @@ def test_intercept_export_and_corpus_randtest(tmp_path):
     assert len(idx) == 3907
     assert run(["randtest", "--input", str(corpus), "--format", "corpus-full",
                 "--tests", "freq,balance,autocorr"]) == 0
+
+
+_FLIGHT = ["--controller", "a.sks", "--controlee", "b.sks", "--script", "fly.cmds",
+           "--loss", "0.2", "--tamper", "0.1", "--seed", "3"]
+_SUMMARY = ("frames sent      : 200\n"
+            "dropped          : 34\n"
+            "tampered         : 13\n"
+            "accepted         : 153\n"
+            "discarded        : 13\n"
+            "keys consumed    : controller 200, controlee 200\n")
+
+
+@pytest.fixture
+def flight(tmp_path, monkeypatch, capsys):
+    """The seeded 200-command flight that tests/test_golden.py pins."""
+    monkeypatch.chdir(tmp_path)
+    _charge(Path("."), blocks=256, seed=5)
+    _script(Path("."), ["Connection", "Forward", "Turn Left", "Backward",
+                        "Turn Right"] * 40)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, tail", [
+    (["simulate"], ""),
+    (["simulate", "--log", "s.log"], "session log      : s.log\n"),
+    (["intercept-export", "--out", "corpus.bin"],
+     "intercepts       : 200 frames to corpus.bin (+ .idx)\n"),
+])
+def test_flight_stdout_is_pinned(flight, capsys, argv, tail):
+    assert run([argv[0], *_FLIGHT, *argv[1:]]) == 0
+    assert capsys.readouterr().out == _SUMMARY + tail
+
+
+def test_flight_summary_counts_match_log_and_sidecar(flight, capsys):
+    assert run(["intercept-export", *_FLIGHT, "--out", "corpus.bin",
+                "--log", "s.log"]) == 0
+    summary = {key.strip(): value for key, value in
+               (line.split(":", 1) for line in capsys.readouterr().out.splitlines())}
+    sent, dropped, tampered = (int(summary[k]) for k in ("frames sent", "dropped", "tampered"))
+    channel = Counter(r.event for r in SessionLog.load("s.log") if r.direction == "ch")
+    sidecar = Counter(line.rsplit(",", 1)[1]
+                      for line in Path("corpus.bin.idx").read_text().splitlines())
+    assert channel == sidecar
+    assert (dropped, tampered) == (channel["dropped"], channel["tampered"])
+    assert sent == channel["delivered"] + dropped + tampered
 
 
 def test_demo_output(tmp_path, capsys):

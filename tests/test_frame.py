@@ -251,9 +251,14 @@ def test_registry_match_and_membership():
 
 
 def test_registry_rejects_duplicates():
-    reg = standard_registry()
-    with pytest.raises(ValueError):
-        reg.add("Connection", CommandFrame(CONNECTION))
+    # a second frame under a taken name, and taken bytes under a second name
+    for name, message in (("Connection", "duplicate command name"),
+                          ("Linkup", "'Linkup' has the same bytes as 'Connection'")):
+        reg = standard_registry()
+        with pytest.raises(ValueError, match=message):
+            reg.add(name, CommandFrame(CONNECTION))
+        assert reg.names() == standard_registry().names()
+        assert reg.match(CONNECTION) == "Connection"
 
 
 @pytest.mark.parametrize("data", [CONNECTION, bytes(32)])

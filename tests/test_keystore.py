@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from otp_remctl.entropy import SeededSource
+from otp_remctl.entropy import EntropySource, SeededSource
 from otp_remctl.errors import (
     BadMagic,
     BadVersion,
@@ -17,7 +17,7 @@ from otp_remctl.errors import (
     SksFormatError,
     TruncatedFile,
 )
-from otp_remctl.frame import FULL_BLOCK_SIZE, SELECTIVE_BLOCK_SIZE
+from otp_remctl.frame import FULL_BLOCK_SIZE, MAX_ADDRESS, SELECTIVE_BLOCK_SIZE
 from otp_remctl.keystore import SksStore, charge
 
 
@@ -39,6 +39,19 @@ def test_charge_rejects_other_block_sizes():
         charge(SeededSource(1), 16, 4)
     with pytest.raises(ValueError):
         charge(SeededSource(1), 32, 0)
+
+
+class _NoDrawSource(EntropySource):
+    """A source that fails the test if any key material is asked of it."""
+
+    def _draw(self, n: int) -> bytes:
+        pytest.fail(f"charge drew {n} bytes for a store it must reject")
+
+
+def test_charge_rejects_address_space_overflow_before_drawing():
+    # MAX_ADDRESS + 2 full blocks would be a 128 GiB draw
+    with pytest.raises(ValueError, match="exceeds the 32-bit address space"):
+        charge(_NoDrawSource(), FULL_BLOCK_SIZE, MAX_ADDRESS + 2)
 
 
 def test_take_block_is_one_time(make_pair):

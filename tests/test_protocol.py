@@ -164,7 +164,7 @@ def test_store_without_cipher_mode_is_rejected():
 def test_lossless_session():
     ctrl, clee = _pair(blocks=8)
     script = [REG.lookup(n) for n in REG.names()]
-    log = run_session(ctrl, clee, script, ChannelConfig(rng_seed=0))
+    log = run_session(ctrl, clee, script, Channel(ChannelConfig(rng_seed=0)))
     accepted = log.events("accepted")
     assert len(accepted) == 5
     assert [r.address for r in accepted] == [0, 1, 2, 3, 4]
@@ -174,7 +174,7 @@ def test_lossless_session():
 def test_total_loss_session():
     ctrl, clee = _pair(blocks=8)
     log = run_session(ctrl, clee, [CONNECTION] * 5,
-                      ChannelConfig(loss_prob=1.0, rng_seed=3))
+                      Channel(ChannelConfig(loss_prob=1.0, rng_seed=3)))
     assert len(log.events("accepted")) == 0
     assert len(log.events("dropped")) == 5
     assert ctrl.store.consumed_count == 5
@@ -183,7 +183,7 @@ def test_total_loss_session():
 
 def test_exhaustion_ends_session_with_log_record():
     ctrl, clee = _pair(blocks=3)
-    log = run_session(ctrl, clee, [CONNECTION] * 5, ChannelConfig(rng_seed=0))
+    log = run_session(ctrl, clee, [CONNECTION] * 5, Channel(ChannelConfig(rng_seed=0)))
     assert len(log.events("accepted")) == 3
     tail = log.records[-1]
     assert (tail.direction, tail.event) == ("tx", "exhausted")
@@ -192,7 +192,7 @@ def test_exhaustion_ends_session_with_log_record():
 def test_accepted_equals_delivered_under_loss():
     ctrl, clee = _pair(blocks=2000)
     script = [REG.lookup(REG.names()[i % 5]) for i in range(2000)]
-    log = run_session(ctrl, clee, script, ChannelConfig(loss_prob=0.2, rng_seed=7))
+    log = run_session(ctrl, clee, script, Channel(ChannelConfig(loss_prob=0.2, rng_seed=7)))
     assert len(log.events("accepted")) == len(log.events("delivered"))
     assert clee.accepted == len(log.events("delivered"))
     assert clee.discarded == 0
@@ -207,7 +207,7 @@ def test_every_accepted_frame_matches_its_script_entry(seed, ch_seed, n):
     ctrl, clee = Controller(tx), Controlee(rx)
     script = [REG.lookup(REG.names()[i % 5]) for i in range(n)]
     cfg = ChannelConfig(loss_prob=0.25, tamper_prob=0.25, rng_seed=ch_seed)
-    log = run_session(ctrl, clee, script, cfg)
+    log = run_session(ctrl, clee, script, Channel(cfg))
     for rec in log.events("accepted"):
         assert rec.data == script[rec.seq].data
     # key parity: every address consumed by the controlee was consumed
@@ -323,10 +323,24 @@ def test_session_record_line_roundtrip():
 def test_session_log_roundtrip(tmp_path):
     ctrl, clee = _pair(blocks=16)
     log = run_session(ctrl, clee, [CONNECTION] * 10,
-                      ChannelConfig(loss_prob=0.3, rng_seed=2))
+                      Channel(ChannelConfig(loss_prob=0.3, rng_seed=2)))
     p = tmp_path / "s.log"
     log.save(p)
     assert SessionLog.load(p) == log
+
+
+@pytest.mark.parametrize("line", [
+    "0,tx,0,sent",                  # four fields
+    "0,tx,zero,sent,00ff",          # address is not an int
+    "0,tx,0,sent,0g",               # data is not hex
+    "first,tx,0,sent,00ff",         # seq is not an int
+])
+def test_session_log_load_names_file_and_line(tmp_path, line):
+    p = tmp_path / "s.log"
+    p.write_text(f"0,tx,0,sent,00ff\n\n{line}\n")
+    with pytest.raises(ValueError, match=rf"s\.log:3: expected "
+                       r"'seq,direction,address,event,hexdata'$"):
+        SessionLog.load(p)
 
 
 def test_session_log_event_filter():
