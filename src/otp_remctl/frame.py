@@ -260,7 +260,10 @@ class CommandRegistry:
                 raise ValueError(f"{path}:{lineno}: bytes must be decimal integers") from None
             if not all(0 <= b <= 255 for b in ints):
                 raise ValueError(f"{path}:{lineno}: byte values must be 0..255")
-            reg.add(name.strip(), CommandFrame(bytes(ints)))
+            try:
+                reg.add(name.strip(), CommandFrame(bytes(ints)))
+            except (ValueError, BadLength) as exc:
+                raise type(exc)(f"{path}:{lineno}: {exc}") from None
         return reg
 
 

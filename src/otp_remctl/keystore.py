@@ -37,11 +37,14 @@ _HEADER = struct.Struct(">4sHHI")
 _CRC = struct.Struct(">I")
 
 
-def _check_block_count(block_count: int) -> None:
+def _check_geometry(block_size: int, block_count: int) -> CipherMode:
+    """The cipher mode a store of this geometry serves; ValueError if none."""
+    mode = CipherMode.for_block_size(block_size)
     if block_count < 1:
         raise ValueError(f"block_count must be positive, got {block_count}")
     if block_count - 1 > MAX_ADDRESS:
         raise ValueError(f"block_count {block_count} exceeds the 32-bit address space")
+    return mode
 
 
 class SksStore:
@@ -54,9 +57,7 @@ class SksStore:
 
     def __init__(self, block_size: int, block_count: int, key_material: bytes,
                  consumed=None) -> None:
-        if block_size < 1:
-            raise ValueError(f"block_size must be positive, got {block_size}")
-        _check_block_count(block_count)
+        self.mode = _check_geometry(block_size, block_count)
         if len(key_material) != block_size * block_count:
             raise ValueError(
                 f"key material is {len(key_material)} bytes, "
@@ -158,8 +159,10 @@ class SksStore:
         _, version, block_size, block_count = _HEADER.unpack_from(data)
         if version != VERSION:
             raise BadVersion(f"{path}: unsupported version {version}")
-        if block_size < 1 or block_count < 1:
-            raise SksFormatError(f"{path}: nonsense geometry {block_size}x{block_count}")
+        try:
+            _check_geometry(block_size, block_count)
+        except ValueError as exc:
+            raise SksFormatError(f"{path}: {exc}") from None
         bitmap_len = (block_count + 7) // 8
         total = _HEADER.size + bitmap_len + block_size * block_count + _CRC.size
         if len(data) < total:
@@ -196,8 +199,7 @@ def charge(source: EntropySource, block_size: int, block_count: int):
 
     Both copies share byte-identical material and start with empty ledgers.
     """
-    CipherMode.for_block_size(block_size)  # raises ValueError for any other size
-    _check_block_count(block_count)  # before drawing any key material
+    _check_geometry(block_size, block_count)  # before drawing any key material
     material = source.fill(block_size * block_count)
     return (SksStore(block_size, block_count, material),
             SksStore(block_size, block_count, material))

@@ -21,7 +21,6 @@ from pathlib import Path
 
 from .errors import BadLength, KeyExhausted, KeyReused, OutOfRange
 from .frame import (
-    CipherMode,
     CommandFrame,
     CommandRegistry,
     WireFrame,
@@ -67,7 +66,6 @@ class Controller:
 
     def __init__(self, store: SksStore) -> None:
         self.store = store
-        self.mode = CipherMode.for_block_size(store.block_size)
         self.frames_sent = 0
 
     def send(self, cmd: CommandFrame) -> WireFrame:
@@ -79,7 +77,7 @@ class Controller:
             )
         key = self.store.take_block(addr)
         self.frames_sent += 1
-        return otp_encrypt(cmd, key, addr, self.mode)
+        return otp_encrypt(cmd, key, addr, self.store.mode)
 
 
 class Controlee:
@@ -94,7 +92,6 @@ class Controlee:
     def __init__(self, store: SksStore, registry: CommandRegistry | None = None,
                  max_address_jump: int | None = None) -> None:
         self.store = store
-        self.mode = CipherMode.for_block_size(store.block_size)
         self.registry = registry if registry is not None else standard_registry()
         self.max_address_jump = max_address_jump
         self.accepted = 0
@@ -128,7 +125,7 @@ class Controlee:
             # Unreachable through this flow (consumed blocks sit below
             # next_expected), but a shared store could get here.
             return self._discard(DiscardReason.REPLAY_OR_STALE)
-        name = self.registry.match(otp_decrypt(wire, key, self.mode))
+        name = self.registry.match(otp_decrypt(wire, key, self.store.mode))
         if name is None:
             return self._discard(DiscardReason.VALIDATION_FAILED)
         self.accepted += 1
@@ -162,6 +159,12 @@ class SessionRecord:
                    event, bytes.fromhex(hexdata))
 
 
+# Events each direction may log; a ch event is the channel's own outcome
+# name, which this module does not import, so it is not checked.
+_EVENTS = {"tx": {"sent", "exhausted"}, "ch": None,
+           "rx": {"accepted", *(f"discarded:{r.value}" for r in DiscardReason)}}
+
+
 class SessionLog:
     """Ordered record of every send, channel event and receive outcome."""
 
@@ -187,10 +190,17 @@ class SessionLog:
             if not line.strip():
                 continue
             try:
-                records.append(SessionRecord.from_line(line))
+                record = SessionRecord.from_line(line)
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: expected "
                                  "'seq,direction,address,event,hexdata'") from None
+            if record.direction not in _EVENTS:
+                raise ValueError(f"{path}:{lineno}: unknown direction {record.direction!r}")
+            events = _EVENTS[record.direction]
+            if events is not None and record.event not in events:
+                raise ValueError(f"{path}:{lineno}: unknown {record.direction} "
+                                 f"event {record.event!r}")
+            records.append(record)
         return cls(records)
 
     def __len__(self) -> int:

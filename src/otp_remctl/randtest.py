@@ -16,7 +16,6 @@ correctly rounded to well below the 1e-10 relative error the P-value
 contract needs; its contract is pinned by tests.
 """
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -129,12 +128,21 @@ def nist_runs(seq: BitSequence, alpha: float = DEFAULT_ALPHA,
 
 @dataclass(frozen=True)
 class BalanceResult:
-    """Ones-proportion and its absolute deviation from one half."""
+    """Ones-proportion, its absolute deviation from one half, and the verdict."""
 
     n: int
     ones: int
     proportion: float
     deviation: float
+
+    @property
+    def limit(self) -> float:
+        """Four sigma of a fair coin's ones-proportion, sigma = 1/(2 sqrt(n))."""
+        return 2.0 / math.sqrt(self.n)
+
+    @property
+    def passed(self) -> bool:
+        return self.deviation <= self.limit
 
 
 def golomb_balance(seq: BitSequence) -> BalanceResult:
@@ -192,7 +200,8 @@ class AutocorrSeries:
     """Normalized autocorrelation over lags -T..T.
 
     C(0) is exactly 1 and C(-t) == C(t) by construction; values use the
-    lag-corrected denominator n - |t|.
+    lag-corrected denominator n - |t|.  Passes when C(0) == 1 and at least
+    99% of positive lags lie within 4 / sqrt(n - t).
     """
 
     n: int
@@ -215,6 +224,10 @@ class AutocorrSeries:
         bound = k / np.sqrt(self.n - taus)
         positive = self.values[self.max_lag + 1:]
         return float(np.count_nonzero(np.abs(positive) <= bound) / taus.size)
+
+    @property
+    def passed(self) -> bool:
+        return self.c(0) == 1.0 and self.fraction_within_bound(4.0) >= 0.99
 
 
 # Row k keeps the first k bits of a packed 64-bit word, in stream order.
@@ -320,17 +333,6 @@ def report_csv(rows) -> str:
     lines = [",".join(REPORT_FIELDS)]
     lines += [",".join(_csv_cell(row[k]) for k in REPORT_FIELDS) for row in rows]
     return "\n".join(lines) + "\n"
-
-
-def results_csv(results) -> str:
-    """CSV report: test, n, statistic, p_value, alpha, pass."""
-    return report_csv(map(result_row, results))
-
-
-def results_json(results) -> str:
-    """Structured key/value report for the same results, notes included."""
-    payload = [{**result_row(r), "note": r.note} for r in results]
-    return json.dumps(payload, indent=2) + "\n"
 
 
 def autocorr_csv(series: AutocorrSeries) -> str:

@@ -1,11 +1,15 @@
 import gc
+import hashlib
+import io
 import json
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from otp_remctl import randtest as rt
 from otp_remctl.cli import REGISTRY_ENV, demo_end_to_end, run
+from otp_remctl.entropy import SeededSource
 from otp_remctl.frame import CommandRegistry, standard_registry
 from otp_remctl.keystore import SksStore
 from otp_remctl.protocol import SessionLog
@@ -165,6 +169,22 @@ def test_randtest_seeded_keys_pass(tmp_path):
                 "--tests", "freq,runs,balance,runlen,autocorr"]) == 0
 
 
+@pytest.mark.parametrize("data", [SeededSource(42).fill(12_500), bytes(12_500)],
+                         ids=["seeded", "zeros"])
+def test_randtest_verdicts_are_the_results_own(tmp_path, data):
+    p, report = tmp_path / "in.bin", tmp_path / "r.csv"
+    p.write_bytes(data)
+    code = run(["randtest", "--input", str(p), "--tests", "balance,autocorr",
+                "--max-lag", "200", "--report", str(report)])
+    bits = rt.BitSequence.from_bytes(data)
+    verdicts = {"balance": rt.golomb_balance(bits).passed,
+                "autocorrelation": rt.autocorrelation(bits, 200).passed}
+    assert {row.split(",")[0]: row.split(",")[-1]
+            for row in report.read_text().splitlines()[1:]} == {
+        test: str(passed).lower() for test, passed in verdicts.items()}
+    assert code == (0 if all(verdicts.values()) else 3)
+
+
 def test_randtest_split_mode(tmp_path, capsys):
     keys = tmp_path / "keys.bin"
     assert run(["gen-keys", "--source", "seeded:42", "--bytes", "125000",
@@ -307,3 +327,32 @@ def test_demo_output(tmp_path, capsys):
 
 def test_demo_function_is_reusable(tmp_path):
     assert demo_end_to_end(seed=7, out=tmp_path / "d.csv") == 0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_demo_agreement_rate_matches_pairwise_loop(tmp_path, seed):
+    out = io.StringIO()
+    assert demo_end_to_end(seed=seed, out=tmp_path / "d.csv", stream=out) == 0
+    ciphers = [bytes(map(int, line.split(",")[4:]))
+               for line in (tmp_path / "d.csv").read_text().splitlines()[1:]
+               if line.split(",")[3] == "cipher"]
+    matches = total = 0
+    for i, a in enumerate(ciphers):
+        for b in ciphers[i + 1:]:
+            matches += sum(x == y for x, y in zip(a, b))
+            total += len(a)
+    assert f"byte-agreement rate: {matches / total:.4f} " in out.getvalue()
+
+
+def test_demo_stdout_and_csv_are_pinned(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run(["demo", "--seed", "7", "--out", "demo.csv"]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("addresses consumed in order: 0..24\n"
+                        "pairwise ciphertext byte-agreement rate: 0.0037 "
+                        "(uniform expectation 0.0039)\n"
+                        "csv: demo.csv\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "8bc464592db475b2604055f26eeb4fa3689b38f13031c1eab8258453c2d4d861")
+    assert hashlib.sha256(Path("demo.csv").read_bytes()).hexdigest() == (
+        "fd4c77519dd0b670f71d062097f842c34eaebc7047ad0cbbda8f9ce380255238")

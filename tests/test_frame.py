@@ -290,6 +290,20 @@ def test_registry_load_errors(tmp_path):
     p.write_text("Hover: " + ",".join(str(b) for b in CONNECTION[:31]) + ",300\n")
     with pytest.raises(ValueError, match=r"bad\.reg:1: byte values must be 0\.\.255"):
         CommandRegistry.load(p)
+    row = ",".join(str(b) for b in CONNECTION)
+    p.write_text(f"Hover: {row}\nHover: {row[:-3]}254\n")
+    with pytest.raises(ValueError, match=r"bad\.reg:2: duplicate command name 'Hover'$"):
+        CommandRegistry.load(p)
+    p.write_text(f"Hover: {row}\nLinkup: {row}\n")
+    with pytest.raises(ValueError,
+                       match=r"bad\.reg:2: command 'Linkup' has the same bytes as 'Hover'$"):
+        CommandRegistry.load(p)
+    p.write_text(f"# header\nHover: {','.join(str(b) for b in bad_header)}\n")
+    with pytest.raises(ValueError, match=r"bad\.reg:2: bad frame header"):
+        CommandRegistry.load(p)
+    p.write_text(f"Hover: {row},0\n")
+    with pytest.raises(BadLength, match=r"bad\.reg:1: command frame is 32 bytes, got 33$"):
+        CommandRegistry.load(p)
 
 
 def test_registry_load_skips_comments(tmp_path):

@@ -17,7 +17,7 @@ from otp_remctl.errors import (
     SksFormatError,
     TruncatedFile,
 )
-from otp_remctl.frame import FULL_BLOCK_SIZE, MAX_ADDRESS, SELECTIVE_BLOCK_SIZE
+from otp_remctl.frame import FULL_BLOCK_SIZE, MAX_ADDRESS, SELECTIVE_BLOCK_SIZE, CipherMode
 from otp_remctl.keystore import SksStore, charge
 
 
@@ -119,7 +119,7 @@ def test_remaining(make_pair):
     [True, -1, None, 1, 300, 0.0, "", "x", 0.5],
 ], ids=["list", "tuple", "bytes", "bytearray", "objects"])
 def test_consumed_argument_is_read_by_truthiness(ledger):
-    s = SksStore(1, 9, bytes(9), ledger)
+    s = SksStore(23, 9, bytes(9 * 23), ledger)
     assert s.consumed_bitmap() == bytes([0b11011001, 0b10000000])
     assert s.consumed_count == 6
     assert s.next_expected == 2
@@ -127,7 +127,7 @@ def test_consumed_argument_is_read_by_truthiness(ledger):
 
 def test_consumed_argument_length_must_match():
     with pytest.raises(ValueError, match="length must equal block_count"):
-        SksStore(1, 4, bytes(4), b"\x01\x00\x01")
+        SksStore(23, 4, bytes(4 * 23), b"\x01\x00\x01")
 
 
 def _reference_bitmap(ledger) -> bytes:
@@ -154,7 +154,7 @@ def test_ledger_codec_matches_reference(tmp_path, blocks, pattern):
     rng = random.Random(blocks)
     p_take = {"none": 0.0, "all": 1.0, "random": 0.5, "sparse": 0.1}[pattern]
     ledger = bytearray(rng.random() < p_take for _ in range(blocks))
-    store = SksStore(1, blocks, bytes(blocks))
+    store = SksStore(23, blocks, bytes(blocks * 23))
     for i in range(blocks):
         if ledger[i]:
             store.take_block(i)
@@ -274,6 +274,22 @@ def test_load_rejects_trailing_garbage(tmp_path, make_pair):
     p.write_bytes(p.read_bytes() + b"\x00")
     with pytest.raises(SksFormatError):
         SksStore.load(p)
+
+
+def test_load_rejects_block_size_no_cipher_mode_uses(tmp_path):
+    p = tmp_path / "odd.sks"
+    body = struct.pack(">4sHHI", b"SKS1", 1, 17, 4) + bytes(1) + bytes(68)
+    p.write_bytes(body + struct.pack(">I", zlib.crc32(body)))
+    with pytest.raises(SksFormatError,
+                       match=r"odd\.sks: no cipher mode uses 17-byte key blocks"):
+        SksStore.load(p)
+
+
+@pytest.mark.parametrize("mode", list(CipherMode))
+def test_store_carries_its_cipher_mode(tmp_path, mode):
+    a, _ = charge(SeededSource(2), mode.key_length, 3)
+    a.save(tmp_path / "s.sks")
+    assert a.mode is SksStore.load(tmp_path / "s.sks").mode is mode
 
 
 def test_selective_block_size_roundtrip(tmp_path):

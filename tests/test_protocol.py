@@ -154,11 +154,8 @@ def test_selective_mode_roundtrip_and_tamper():
 
 
 def test_store_without_cipher_mode_is_rejected():
-    store = SksStore(17, 4, bytes(68))
-    with pytest.raises(ValueError):
-        Controller(store)
-    with pytest.raises(ValueError):
-        Controlee(store)
+    with pytest.raises(ValueError, match="no cipher mode uses 17-byte key blocks"):
+        SksStore(17, 4, bytes(68))
 
 
 def test_lossless_session():
@@ -248,7 +245,7 @@ class _HeaderCheckControlee(Controlee):
             return self._discard(DiscardReason.KEY_EXHAUSTED)
         except KeyReused:
             return self._discard(DiscardReason.REPLAY_OR_STALE)
-        plain = otp_decrypt(wire, key, self.mode)
+        plain = otp_decrypt(wire, key, self.store.mode)
         if not validate_frame(plain):
             return self._discard(DiscardReason.VALIDATION_FAILED)
         name = self.registry.match(plain)
@@ -329,18 +326,35 @@ def test_session_log_roundtrip(tmp_path):
     assert SessionLog.load(p) == log
 
 
+# Lines that parse but name an unknown direction or event, with their error.
+_BAD_EVENTS = {
+    "0,zz,0,bogus,00": "unknown direction 'zz'",
+    "0,tx,0,delivered,00": "unknown tx event 'delivered'",
+    "0,rx,0,discarded:sunspots,00": "unknown rx event 'discarded:sunspots'",
+}
+
+
 @pytest.mark.parametrize("line", [
     "0,tx,0,sent",                  # four fields
     "0,tx,zero,sent,00ff",          # address is not an int
     "0,tx,0,sent,0g",               # data is not hex
     "first,tx,0,sent,00ff",         # seq is not an int
+    *_BAD_EVENTS,
 ])
 def test_session_log_load_names_file_and_line(tmp_path, line):
     p = tmp_path / "s.log"
     p.write_text(f"0,tx,0,sent,00ff\n\n{line}\n")
-    with pytest.raises(ValueError, match=rf"s\.log:3: expected "
-                       r"'seq,direction,address,event,hexdata'$"):
+    error = _BAD_EVENTS.get(line, "expected 'seq,direction,address,event,hexdata'")
+    with pytest.raises(ValueError, match=rf"s\.log:3: {error}$"):
         SessionLog.load(p)
+
+
+def test_session_log_load_keeps_any_channel_event(tmp_path):
+    p = tmp_path / "s.log"
+    p.write_text("0,tx,0,sent,00\n0,ch,0,jammed,00\n0,tx,,exhausted,\n"
+                 "1,rx,1,discarded:address_jump,00\n")
+    assert [r.event for r in SessionLog.load(p)] == [
+        "sent", "jammed", "exhausted", "discarded:address_jump"]
 
 
 def test_session_log_event_filter():

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -19,8 +18,7 @@ from otp_remctl.randtest import (
     pass_proportion,
     report_csv,
     report_row,
-    results_csv,
-    results_json,
+    result_row,
     run_length_histogram,
     TestResult,
 )
@@ -133,6 +131,14 @@ def test_balance_complement_identity():
         pytest.approx(1.0 - golomb_balance(plain).proportion)
 
 
+def test_balance_verdict_is_four_sigma():
+    # 1000 bits: limit 2/sqrt(1000) ~ 0.0632, i.e. 437..563 ones pass
+    assert golomb_balance(ALTERNATING).limit == 2.0 / math.sqrt(1000)
+    for ones, passed in ((500, True), (563, True), (564, False), (1000, False)):
+        bits = BitSequence(np.arange(1000) < ones)
+        assert golomb_balance(bits).passed is passed
+
+
 def test_run_length_histogram_examples():
     assert run_length_histogram(ALTERNATING) == {1: 1000}
     r = golomb_run_lengths(ALTERNATING)
@@ -187,6 +193,11 @@ def test_autocorrelation_seeded_stream_is_delta_like():
     seq = _seeded_bits(4, 12_500)
     series = autocorrelation(seq, 100)
     assert series.fraction_within_bound(4.0) >= 0.99
+
+
+def test_autocorrelation_verdict():
+    assert autocorrelation(_seeded_bits(4, 12_500), 100).passed
+    assert not autocorrelation(ALTERNATING, 100).passed  # C(t) = +-1
 
 
 def _dot_autocorrelation(bits: np.ndarray, max_lag: int) -> np.ndarray:
@@ -281,19 +292,10 @@ def test_monobit_and_runs_agree_on_ones_count(seed):
 
 
 def test_results_csv_format():
-    rows = results_csv([TestResult("frequency", 100, 1.6, 0.1096)])
+    rows = report_csv(map(result_row, [TestResult("frequency", 100, 1.6, 0.1096)]))
     lines = rows.strip().splitlines()
     assert lines[0] == "test,n,statistic,p_value,alpha,pass"
     assert lines[1].startswith("frequency,100,1.6,0.1096,0.01,true")
-
-
-def test_results_json_format():
-    payload = json.loads(results_json([
-        TestResult("runs", 10, 7.0, 0.1472, note="permissive"),
-    ]))
-    assert payload[0]["test"] == "runs"
-    assert payload[0]["pass"] is True
-    assert payload[0]["note"] == "permissive"
 
 
 def test_autocorr_csv_format():
@@ -317,9 +319,9 @@ def test_report_csv_leaves_none_cells_empty():
 def test_results_csv_alpha_keeps_its_six_digit_format(alpha):
     results = [TestResult("frequency", 100, 1.6, 0.1096, alpha),
                TestResult("runs", 100, 51.0, 0.9, alpha)]
-    # The format results_csv had before it shared the report writer:
+    # The format the test-result CSV had before it shared the report writer:
     # alpha as :g, which .10g reproduces up to six significant digits.
     expected = "test,n,statistic,p_value,alpha,pass\n" + "".join(
         f"{r.test_name},{r.n},{r.statistic:.10g},{r.p_value:.10g},"
         f"{r.alpha:g},{str(r.passed).lower()}\n" for r in results)
-    assert results_csv(results) == expected
+    assert report_csv(map(result_row, results)) == expected
