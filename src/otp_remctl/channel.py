@@ -119,16 +119,19 @@ class Channel:
 def export_intercepts(log: InterceptLog, path) -> None:
     """Write the corpus (concatenated frames) plus a ``.idx`` sidecar.
 
-    Sidecar lines are ``seq,offset,outcome``, one per frame.
+    Sidecar lines are ``seq,offset,outcome``, one per frame, frame k at
+    offset ``36*k``.  A frame that is not 36 bytes raises ValueError before
+    anything is written, since load_intercepts would refuse the corpus.
     """
+    lines = []
+    for k, r in enumerate(log):
+        if len(r.frame) != WIRE_LEN:
+            raise ValueError(f"{path}: frame {k} is {len(r.frame)} bytes, "
+                             f"a corpus frame is {WIRE_LEN}")
+        outcome = r.outcome.value if r.outcome is not None else ""
+        lines.append(f"{r.seq},{WIRE_LEN * k},{outcome}")
     path = Path(path)
     path.write_bytes(b"".join(r.frame for r in log))
-    lines = []
-    offset = 0
-    for r in log:
-        outcome = r.outcome.value if r.outcome is not None else ""
-        lines.append(f"{r.seq},{offset},{outcome}")
-        offset += len(r.frame)
     sidecar = "\n".join(lines)
     Path(str(path) + ".idx").write_text(sidecar + "\n" if sidecar else "")
 

@@ -25,7 +25,8 @@ from .channel import Channel, ChannelConfig, Delivery, TamperModel, \
     export_intercepts, extract_ciphertext, load_intercepts
 from .entropy import SeededSource, make_source
 from .errors import OtpRemctlError
-from .frame import FRAME_LEN, FULL_BLOCK_SIZE, CipherMode, CommandRegistry, standard_registry
+from .frame import FRAME_LEN, FULL_BLOCK_SIZE, SELECTIVE_BLOCK_SIZE, CipherMode, \
+    CommandRegistry, standard_registry
 from .keystore import SksStore, charge
 from .protocol import Controlee, Controller, run_session
 from . import randtest as rt
@@ -111,7 +112,7 @@ def _read_script(path, registry: CommandRegistry):
 
 
 def _cmd_gen_keys(args) -> int:
-    args.source.dump(args.bytes, args.out)
+    Path(args.out).write_bytes(args.source.fill(args.bytes))
     print(f"wrote {args.bytes} bytes ({args.source.kind}) to {args.out}")
     return 0
 
@@ -232,7 +233,7 @@ def _cmd_randtest(args) -> int:
         else:
             max_lag = min(args.max_lag, bits.n - 1)
             series = rt.autocorrelation(bits, max_lag)
-            fraction = series.fraction_within_bound(4.0)
+            fraction = series.fraction_within_bound()
             ok = series.passed
             record(rt.report_row("autocorrelation", bits.n, fraction, None, None, ok),
                    f"autocorr  : n={bits.n} lags=1..{max_lag} "
@@ -249,14 +250,13 @@ def _cmd_randtest(args) -> int:
     return 3 if failures else 0
 
 
-def demo_end_to_end(seed: int = 7, out=None, stream=None) -> int:
+def demo_end_to_end(seed: int, out=None) -> int:
     """Encrypt the five stock commands five times each with fresh blocks.
 
     Prints plaintext rows (identical across repetitions) and ciphertext
-    rows (no visible structure), and optionally writes a CSV of both for
-    plotting byte-value traces.
+    rows (no visible structure) to stdout, and optionally writes a CSV of
+    both for plotting byte-value traces.
     """
-    stream = stream if stream is not None else sys.stdout
     registry = standard_registry()
     reps = 5
     names = registry.names()
@@ -265,13 +265,12 @@ def demo_end_to_end(seed: int = 7, out=None, stream=None) -> int:
     rows = []
     for name in names:
         frame = registry.lookup(name)
-        print(f"== {name} ==", file=stream)
-        print(f"plain      : {frame.data.hex()}", file=stream)
+        print(f"== {name} ==")
+        print(f"plain      : {frame.data.hex()}")
         for rep in range(reps):
             wire = controller.send(frame)
             rows.append((name, rep, wire.address, frame.data, wire.payload))
-            print(f"cipher[{wire.address:3d}]: {wire.payload.hex()}",
-                  file=stream)
+            print(f"cipher[{wire.address:3d}]: {wire.payload.hex()}")
     addresses = [r[2] for r in rows]
     ciphers = np.frombuffer(b"".join(r[4] for r in rows),
                             dtype=np.uint8).reshape(len(rows), FRAME_LEN)
@@ -280,10 +279,9 @@ def demo_end_to_end(seed: int = 7, out=None, stream=None) -> int:
     n = len(rows)
     matches = (int(np.count_nonzero(ciphers[:, None] == ciphers)) - n * FRAME_LEN) // 2
     total = n * (n - 1) // 2 * FRAME_LEN
-    print(f"addresses consumed in order: {addresses[0]}..{addresses[-1]}",
-          file=stream)
+    print(f"addresses consumed in order: {addresses[0]}..{addresses[-1]}")
     print(f"pairwise ciphertext byte-agreement rate: {matches / total:.4f} "
-          f"(uniform expectation {1 / 256:.4f})", file=stream)
+          f"(uniform expectation {1 / 256:.4f})")
     if out:
         header = "name,rep,address,kind," + ",".join(f"b{i}" for i in range(FRAME_LEN))
         lines = [header]
@@ -291,7 +289,7 @@ def demo_end_to_end(seed: int = 7, out=None, stream=None) -> int:
             lines.append(f"{name},{rep},{addr},plain," + ",".join(map(str, plain)))
             lines.append(f"{name},{rep},{addr},cipher," + ",".join(map(str, cipher)))
         Path(out).write_text("\n".join(lines) + "\n")
-        print(f"csv: {out}", file=stream)
+        print(f"csv: {out}")
     return 0
 
 
@@ -318,7 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--blocks", required=True, type=_positive_int,
                    help="number of key blocks")
     p.add_argument("--mode", choices=("full", "selective"), default="full",
-                   help="full: 32-byte blocks; selective: 23-byte blocks")
+                   help=f"full: {FULL_BLOCK_SIZE}-byte blocks; "
+                        f"selective: {SELECTIVE_BLOCK_SIZE}-byte blocks")
     p.add_argument("--controller", required=True, help="controller store file")
     p.add_argument("--controlee", required=True, help="controlee store file")
     p.set_defaults(func=_cmd_charge)

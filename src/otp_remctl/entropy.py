@@ -27,20 +27,11 @@ class EntropySource:
 
     kind = "abstract"
 
-    def __init__(self) -> None:
-        self.bits_emitted = 0
-
     def fill(self, n: int) -> bytes:
         """Return the next ``n`` bytes of the stream."""
         if n < 0:
             raise ValueError(f"byte count must be non-negative, got {n}")
-        data = self._draw(n)
-        self.bits_emitted += 8 * len(data)
-        return data
-
-    def dump(self, n: int, path) -> None:
-        """Write the next ``n`` bytes of the stream to ``path`` as a raw file."""
-        Path(path).write_bytes(self.fill(n))
+        return self._draw(n)
 
     def _draw(self, n: int) -> bytes:
         raise NotImplementedError
@@ -66,7 +57,6 @@ class SeededSource(EntropySource):
     kind = "seeded"
 
     def __init__(self, seed: int) -> None:
-        super().__init__()
         if not 0 <= seed <= MAX_SEED:
             raise ValueError(f"seed must fit in 64 bits, got {seed}")
         self.seed = seed
@@ -92,7 +82,6 @@ class FileSource(EntropySource):
     kind = "file"
 
     def __init__(self, path) -> None:
-        super().__init__()
         self.path = Path(path)
         self.cursor = 0
 

@@ -193,7 +193,10 @@ class CommandRegistry:
     surfaces as a mismatch after decryption.
 
     File format: one command per line, ``name: 32 comma-separated decimal
-    bytes``; blank lines and ``#`` comments are skipped.
+    bytes``; blank lines and ``#`` comments are skipped.  So that every name
+    survives a save and a load, and can be named in a script, ``add`` takes
+    only a name that is one non-empty line with no surrounding whitespace,
+    no leading ``#`` and no ``:``.
     """
 
     def __init__(self, commands=None) -> None:
@@ -207,6 +210,10 @@ class CommandRegistry:
         if not isinstance(frame, CommandFrame):
             raise TypeError(f"command {name!r} must be a CommandFrame, "
                             f"got {type(frame).__name__}")
+        if (not isinstance(name, str) or name.splitlines() != [name]
+                or name != name.strip() or name.startswith("#") or ":" in name):
+            raise ValueError(f"bad command name {name!r}: need one non-empty line "
+                             "with no surrounding whitespace, leading '#' or ':'")
         if name in self._frames:
             raise ValueError(f"duplicate command name {name!r}")
         if frame.data in self._by_bytes:

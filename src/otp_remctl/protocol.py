@@ -96,7 +96,6 @@ class Controlee:
         self.max_address_jump = max_address_jump
         self.accepted = 0
         self.discarded = 0
-        self.last_accepted_addr: int | None = None
 
     def _discard(self, reason: DiscardReason) -> RxOutcome:
         self.discarded += 1
@@ -129,7 +128,6 @@ class Controlee:
         if name is None:
             return self._discard(DiscardReason.VALIDATION_FAILED)
         self.accepted += 1
-        self.last_accepted_addr = addr
         return RxOutcome.accept(self.registry.lookup(name), name)
 
 

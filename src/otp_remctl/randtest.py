@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import LagOutOfRange, TooShort
 
-# Smallest sequence the NIST-style tests accept by default.  Unit tests may
-# lower this to force the closed-form formulas on tiny hand-checked inputs.
+# Smallest sequence the NIST-style tests accept.  Unit tests may lower this
+# to force the closed-form formulas on tiny hand-checked inputs.
 MIN_TEST_BITS = 100
 
 DEFAULT_ALPHA = 0.01
@@ -82,18 +82,17 @@ class TestResult:
         return self.p_value >= self.alpha
 
 
-def _require_length(seq: BitSequence, min_bits: int) -> None:
-    if seq.n < min_bits:
-        raise TooShort(f"test needs at least {min_bits} bits, got {seq.n}")
+def _require_length(seq: BitSequence) -> None:
+    if seq.n < MIN_TEST_BITS:
+        raise TooShort(f"test needs at least {MIN_TEST_BITS} bits, got {seq.n}")
 
 
-def monobit_frequency(seq: BitSequence, alpha: float = DEFAULT_ALPHA,
-                      min_bits: int = MIN_TEST_BITS) -> TestResult:
+def monobit_frequency(seq: BitSequence, alpha: float = DEFAULT_ALPHA) -> TestResult:
     """Frequency test: are ones and zeros balanced?
 
     statistic s = |#ones - #zeros| / sqrt(n),  P = erfc(s / sqrt(2)).
     """
-    _require_length(seq, min_bits)
+    _require_length(seq)
     n = seq.n
     s = abs(2 * seq.ones - n) / math.sqrt(n)
     p = math.erfc(s / math.sqrt(2))
@@ -105,8 +104,7 @@ def count_runs(seq: BitSequence) -> int:
     return int(np.count_nonzero(np.diff(seq.bits))) + 1
 
 
-def nist_runs(seq: BitSequence, alpha: float = DEFAULT_ALPHA,
-              min_bits: int = MIN_TEST_BITS) -> TestResult:
+def nist_runs(seq: BitSequence, alpha: float = DEFAULT_ALPHA) -> TestResult:
     """Runs test: is the number of runs consistent with independence?
 
     With pi the ones-proportion and V the run count,
@@ -114,7 +112,7 @@ def nist_runs(seq: BitSequence, alpha: float = DEFAULT_ALPHA,
     Requires |pi - 1/2| < 2/sqrt(n); otherwise the test is not applicable
     and reported as a failure with p = 0.
     """
-    _require_length(seq, min_bits)
+    _require_length(seq)
     n = seq.n
     pi = seq.ones / n
     v = count_runs(seq)
@@ -177,8 +175,8 @@ class RunLengthResult:
     worst_excess: float  # largest |fraction - expected| / tolerance seen
 
 
-def golomb_run_lengths(seq: BitSequence, min_bits: int = MIN_TEST_BITS) -> RunLengthResult:
-    _require_length(seq, min_bits)
+def golomb_run_lengths(seq: BitSequence) -> RunLengthResult:
+    _require_length(seq)
     histogram = run_length_histogram(seq)
     total = sum(histogram.values())
     max_checked = max(int(math.log2(total)) - 2, 0)
@@ -227,7 +225,7 @@ class AutocorrSeries:
 
     @property
     def passed(self) -> bool:
-        return self.c(0) == 1.0 and self.fraction_within_bound(4.0) >= 0.99
+        return self.c(0) == 1.0 and self.fraction_within_bound() >= 0.99
 
 
 # Row k keeps the first k bits of a packed 64-bit word, in stream order.
@@ -273,8 +271,9 @@ def autocorrelation(seq: BitSequence, max_lag: int) -> AutocorrSeries:
 class ProportionResult:
     """Pass proportion across sequences against its acceptance interval.
 
-    The interval is (1 - alpha) +- 3*sqrt(alpha*(1 - alpha)/m); the upper
-    end may exceed 1, meaning a clean sweep is acceptable.
+    The interval is (1 - alpha) +- 3*sqrt(alpha*(1 - alpha)/m).  Only its
+    lower end is kept: a proportion above the interval is a clean sweep,
+    not a failure.
     """
 
     m: int
@@ -282,27 +281,24 @@ class ProportionResult:
     proportion: float
     alpha: float
     lower: float
-    upper: float
 
     @property
     def ok(self) -> bool:
         return self.proportion >= self.lower
 
 
-def pass_proportion(results, alpha: float | None = None) -> ProportionResult:
+def pass_proportion(results) -> ProportionResult:
     results = list(results)
     if not results:
         raise ValueError("need at least one result")
-    if alpha is None:
-        alphas = {r.alpha for r in results}
-        if len(alphas) != 1:
-            raise ValueError(f"mixed alphas {sorted(alphas)}; pass alpha explicitly")
-        alpha = alphas.pop()
+    alphas = {r.alpha for r in results}
+    if len(alphas) != 1:
+        raise ValueError(f"mixed alphas {sorted(alphas)}")
+    alpha = alphas.pop()
     m = len(results)
     passed = sum(1 for r in results if r.passed)
-    margin = 3.0 * math.sqrt(alpha * (1.0 - alpha) / m)
-    return ProportionResult(m, passed, passed / m, alpha,
-                            (1.0 - alpha) - margin, (1.0 - alpha) + margin)
+    lower = (1.0 - alpha) - 3.0 * math.sqrt(alpha * (1.0 - alpha) / m)
+    return ProportionResult(m, passed, passed / m, alpha, lower)
 
 
 REPORT_FIELDS = ("test", "n", "statistic", "p_value", "alpha", "pass")

@@ -4,6 +4,7 @@ from otp_remctl.channel import (
     Channel,
     ChannelConfig,
     Delivery,
+    Intercept,
     InterceptLog,
     TamperModel,
     export_intercepts,
@@ -100,6 +101,16 @@ def test_export_empty_log(tmp_path):
     export_intercepts(InterceptLog(), p)
     assert p.stat().st_size == 0
     assert len(load_intercepts(p)) == 0
+
+
+def test_export_rejects_a_frame_load_would_refuse(tmp_path):
+    log = InterceptLog()
+    log.append(Intercept(0, _wire(0)))
+    log.append(Intercept(1, _wire(1)[:35]))
+    p = tmp_path / "corpus.bin"
+    with pytest.raises(ValueError, match="frame 1 is 35 bytes"):
+        export_intercepts(log, p)
+    assert not p.exists() and not (tmp_path / "corpus.bin.idx").exists()
 
 
 def test_load_rejects_ragged_corpus(tmp_path):

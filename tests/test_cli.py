@@ -1,6 +1,5 @@
 import gc
 import hashlib
-import io
 import json
 from collections import Counter
 from pathlib import Path
@@ -330,9 +329,8 @@ def test_demo_function_is_reusable(tmp_path):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_demo_agreement_rate_matches_pairwise_loop(tmp_path, seed):
-    out = io.StringIO()
-    assert demo_end_to_end(seed=seed, out=tmp_path / "d.csv", stream=out) == 0
+def test_demo_agreement_rate_matches_pairwise_loop(tmp_path, seed, capsys):
+    assert demo_end_to_end(seed=seed, out=tmp_path / "d.csv") == 0
     ciphers = [bytes(map(int, line.split(",")[4:]))
                for line in (tmp_path / "d.csv").read_text().splitlines()[1:]
                if line.split(",")[3] == "cipher"]
@@ -341,7 +339,7 @@ def test_demo_agreement_rate_matches_pairwise_loop(tmp_path, seed):
         for b in ciphers[i + 1:]:
             matches += sum(x == y for x, y in zip(a, b))
             total += len(a)
-    assert f"byte-agreement rate: {matches / total:.4f} " in out.getvalue()
+    assert f"byte-agreement rate: {matches / total:.4f} " in capsys.readouterr().out
 
 
 def test_demo_stdout_and_csv_are_pinned(tmp_path, monkeypatch, capsys):
@@ -356,3 +354,143 @@ def test_demo_stdout_and_csv_are_pinned(tmp_path, monkeypatch, capsys):
         "8bc464592db475b2604055f26eeb4fa3689b38f13031c1eab8258453c2d4d861")
     assert hashlib.sha256(Path("demo.csv").read_bytes()).hexdigest() == (
         "fd4c77519dd0b670f71d062097f842c34eaebc7047ad0cbbda8f9ce380255238")
+
+
+# Exact --help text of the top-level parser ("") and every subcommand at
+# 80 columns.
+_HELP = {
+    "": (
+        "usage: otp-remctl [-h]\n"
+        "                  {gen-keys,charge,simulate,intercept-export,randtest,demo}\n"
+        "                  ...\n"
+        "\n"
+        "Precharged one-time-pad remote-control toolkit.\n"
+        "\n"
+        "positional arguments:\n"
+        "  {gen-keys,charge,simulate,intercept-export,randtest,demo}\n"
+        "    gen-keys            dump raw key bytes from an entropy source\n"
+        "    charge              precharge a matched pair of key stores\n"
+        "    simulate            run a scripted session over a lossy channel\n"
+        "    intercept-export    run a session and export the eavesdropped corpus\n"
+        "    randtest            statistical randomness checks on a byte file\n"
+        "    demo                five commands, five encryptions each\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+    ),
+    "gen-keys": (
+        "usage: otp-remctl gen-keys [-h] --source SOURCE --bytes BYTES --out OUT\n"
+        "\n"
+        "options:\n"
+        "  -h, --help       show this help message and exit\n"
+        "  --source SOURCE  system | seeded:<u64> | file:<path>\n"
+        "  --bytes BYTES    number of bytes to write\n"
+        "  --out OUT        output file\n"
+    ),
+    "charge": (
+        "usage: otp-remctl charge [-h] --source SOURCE --blocks BLOCKS\n"
+        "                         [--mode {full,selective}] --controller CONTROLLER\n"
+        "                         --controlee CONTROLEE\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --source SOURCE       system | seeded:<u64> | file:<path>\n"
+        "  --blocks BLOCKS       number of key blocks\n"
+        "  --mode {full,selective}\n"
+        "                        full: 32-byte blocks; selective: 23-byte blocks\n"
+        "  --controller CONTROLLER\n"
+        "                        controller store file\n"
+        "  --controlee CONTROLEE\n"
+        "                        controlee store file\n"
+    ),
+    "simulate": (
+        "usage: otp-remctl simulate [-h] --controller CONTROLLER --controlee CONTROLEE\n"
+        "                           --script SCRIPT [--loss LOSS] [--tamper TAMPER]\n"
+        "                           [--tamper-model {flip,randomize}] [--seed SEED]\n"
+        "                           [--registry REGISTRY] [--log LOG]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --controller CONTROLLER\n"
+        "                        controller store file\n"
+        "  --controlee CONTROLEE\n"
+        "                        controlee store file\n"
+        "  --script SCRIPT       command script, one name per line\n"
+        "  --loss LOSS           frame loss probability\n"
+        "  --tamper TAMPER       in-flight corruption probability\n"
+        "  --tamper-model {flip,randomize}\n"
+        "                        corruption model\n"
+        "  --seed SEED           channel seed\n"
+        "  --registry REGISTRY   command registry file (default: $OTP_REMCTL_REGISTRY\n"
+        "                        or the built-in five commands)\n"
+        "  --log LOG             write the session log here\n"
+    ),
+    "intercept-export": (
+        "usage: otp-remctl intercept-export [-h] --controller CONTROLLER --controlee\n"
+        "                                   CONTROLEE --script SCRIPT [--loss LOSS]\n"
+        "                                   [--tamper TAMPER]\n"
+        "                                   [--tamper-model {flip,randomize}]\n"
+        "                                   [--seed SEED] [--registry REGISTRY] --out\n"
+        "                                   OUT [--log LOG]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --controller CONTROLLER\n"
+        "                        controller store file\n"
+        "  --controlee CONTROLEE\n"
+        "                        controlee store file\n"
+        "  --script SCRIPT       command script, one name per line\n"
+        "  --loss LOSS           frame loss probability\n"
+        "  --tamper TAMPER       in-flight corruption probability\n"
+        "  --tamper-model {flip,randomize}\n"
+        "                        corruption model\n"
+        "  --seed SEED           channel seed\n"
+        "  --registry REGISTRY   command registry file (default: $OTP_REMCTL_REGISTRY\n"
+        "                        or the built-in five commands)\n"
+        "  --out OUT             corpus file (sidecar: <out>.idx)\n"
+        "  --log LOG             write the session log here\n"
+    ),
+    "randtest": (
+        "usage: otp-remctl randtest [-h] --input INPUT\n"
+        "                           [--format {raw,corpus-full,corpus-selective}]\n"
+        "                           [--tests TESTS] [--alpha ALPHA]\n"
+        "                           [--split-bits SPLIT_BITS] [--max-lag MAX_LAG]\n"
+        "                           [--report REPORT] [--json JSON]\n"
+        "                           [--autocorr-out AUTOCORR_OUT]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --input INPUT         input file\n"
+        "  --format {raw,corpus-full,corpus-selective}\n"
+        "                        raw bytes, or an intercept corpus stripped to its\n"
+        "                        ciphered bytes\n"
+        "  --tests TESTS         comma-separated subset of\n"
+        "                        freq,runs,balance,runlen,autocorr\n"
+        "  --alpha ALPHA         significance level for P-value tests\n"
+        "  --split-bits SPLIT_BITS\n"
+        "                        split the input into sequences of this many bits and\n"
+        "                        report the pass proportion for freq/runs\n"
+        "  --max-lag MAX_LAG     largest autocorrelation lag\n"
+        "  --report REPORT       write a CSV report here\n"
+        "  --json JSON           write a JSON report here\n"
+        "  --autocorr-out AUTOCORR_OUT\n"
+        "                        write the tau,c series here\n"
+    ),
+    "demo": (
+        "usage: otp-remctl demo [-h] [--seed SEED] [--out OUT]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help   show this help message and exit\n"
+        "  --seed SEED  key-material seed\n"
+        "  --out OUT    write plot-ready CSV here\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", _HELP)
+def test_help_text_is_pinned(command, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        run([command, "--help"] if command else ["--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out == _HELP[command]

@@ -47,17 +47,9 @@ def test_fill_depends_only_on_total_drawn(sizes, seed):
     assert joined == SeededSource(seed).fill(sum(sizes))
 
 
-def test_bits_emitted_counts_bits():
-    src = SeededSource(3)
-    src.fill(10)
-    src.fill(5)
-    assert src.bits_emitted == 120
-
-
 def test_system_source_length_only():
     src = SystemSource()
     assert len(src.fill(64)) == 64
-    assert src.bits_emitted == 512
 
 
 def test_file_source_replays_in_order(tmp_path):
@@ -76,29 +68,6 @@ def test_file_source_exhaustion(tmp_path):
         src.fill(9)
     # a failed draw consumes nothing
     assert src.fill(8) == b"\x11" * 8
-
-
-def test_dump_length_and_determinism(tmp_path):
-    p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
-    SeededSource(7).dump(1024, p1)
-    SeededSource(7).dump(1024, p2)
-    assert p1.stat().st_size == 1024
-    assert p1.read_bytes() == p2.read_bytes()
-
-
-def test_dump_continues_the_stream(tmp_path):
-    p = tmp_path / "tail.bin"
-    src = SeededSource(9)
-    src.fill(100)
-    src.dump(64, p)
-    fresh = SeededSource(9)
-    fresh.fill(100)
-    assert p.read_bytes() == fresh.fill(64)
-
-
-def test_dump_unwritable_path(tmp_path):
-    with pytest.raises(OSError):
-        SeededSource(7).dump(16, tmp_path / "missing" / "a.bin")
 
 
 def test_make_source_grammar(tmp_path):

@@ -239,6 +239,24 @@ def test_registry_roundtrip(tmp_path):
     assert loaded.names() == reg.names()
     for name, frame in reg:
         assert loaded.lookup(name).data == frame.data
+    # names a registry file would read back wrong, or not at all
+    for name in ("#hash", "a:b", " pad ", "", "two\nlines", "cr\r", 5):
+        with pytest.raises(ValueError, match="bad command name"):
+            CommandRegistry().add(name, CommandFrame(CONNECTION))
+
+
+@given(st.lists(st.text(max_size=12), max_size=6, unique=True))
+@settings(max_examples=200, deadline=None)
+def test_registry_names_add_accepts_survive_save_and_load(tmp_path_factory, names):
+    reg = CommandRegistry()
+    for i, name in enumerate(names):
+        try:
+            reg.add(name, encode_command([i] * 7, bytes(9), bytes(4)))
+        except ValueError:
+            pass
+    p = tmp_path_factory.mktemp("reg") / "cmds.reg"
+    reg.save(p)
+    assert list(CommandRegistry.load(p)) == list(reg)
 
 
 def test_registry_match_and_membership():

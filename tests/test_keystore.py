@@ -21,6 +21,14 @@ from otp_remctl.frame import FULL_BLOCK_SIZE, MAX_ADDRESS, SELECTIVE_BLOCK_SIZE,
 from otp_remctl.keystore import SksStore, charge
 
 
+@pytest.fixture
+def make_pair():
+    """Factory for matched (controller, controlee) store pairs."""
+    def build(blocks=16, block_size=32, seed=1):
+        return charge(SeededSource(seed), block_size, blocks)
+    return build
+
+
 def test_charge_produces_matched_stores():
     a, b = charge(SeededSource(1), 32, 10)
     assert a.key_material == b.key_material

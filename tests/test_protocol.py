@@ -57,7 +57,6 @@ def test_matched_roundtrip_accepts():
     assert out.name == "Connection"
     assert out.frame.data == CONNECTION.data
     assert out.frame is clee.registry.lookup(out.name)
-    assert clee.last_accepted_addr == 0
 
 
 def test_loss_burns_skipped_blocks():
@@ -252,14 +251,13 @@ class _HeaderCheckControlee(Controlee):
         if name is None:
             return self._discard(DiscardReason.VALIDATION_FAILED)
         self.accepted += 1
-        self.last_accepted_addr = addr
         return RxOutcome.accept(CommandFrame(plain), name)
 
 
 def _receiver_state(clee):
     store = clee.store
     return (store.consumed_count, store.next_expected, store.consumed_bitmap(),
-            clee.accepted, clee.discarded, clee.last_accepted_addr)
+            clee.accepted, clee.discarded)
 
 
 @pytest.mark.parametrize("mode", list(CipherMode))
