@@ -7,7 +7,8 @@ is in order; there is no duplication or reordering.
 
 import enum
 import random
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,10 +25,6 @@ class Delivery(enum.Enum):
     DELIVERED = "delivered"
     DROPPED = "dropped"
     TAMPERED = "tampered"
-
-
-# Sidecar outcome field -> Delivery; an empty field means no outcome.
-_OUTCOMES = {"": None, **{d.value: d for d in Delivery}}
 
 
 @dataclass(frozen=True)
@@ -61,23 +58,65 @@ class Intercept:
     outcome: Delivery | None = None
 
 
-@dataclass
-class InterceptLog:
-    """Everything seen on the air, in transmission order."""
+# The tap's outcome column holds an index into _BY_CODE (0: no outcome),
+# and _FIELDS is the sidecar's outcome field for each code.
+_BY_CODE = (None, *Delivery)
+_CODE = {outcome: code for code, outcome in enumerate(_BY_CODE)}
+_DELIVERED, _DROPPED, _TAMPERED = (
+    _CODE[d] for d in (Delivery.DELIVERED, Delivery.DROPPED, Delivery.TAMPERED))
+_FIELDS = tuple("" if d is None else d.value for d in _BY_CODE)
+_FIELD_CODE = {field: code for code, field in enumerate(_FIELDS)}
 
-    records: list = field(default_factory=list)
+
+class InterceptLog:
+    """Everything seen on the air, in transmission order.
+
+    The log is columnar: the frames sit back to back in one bytearray,
+    and array columns hold each frame's seq, end offset and outcome code.
+    Intercepts are built only when the log is iterated, and ``records``
+    is a new list on each access; ``frames()`` and ``outcomes()`` are the
+    cheap reads.
+    """
+
+    def __init__(self, records=()) -> None:
+        self._frames = bytearray()
+        self._seq = array("q")
+        self._end = array("q")
+        self._outcome = array("B")
+        for record in records:
+            self.append(record)
 
     def append(self, record: Intercept) -> None:
-        self.records.append(record)
+        self._add(record.seq, bytes(record.frame), _CODE[record.outcome])
 
-    def frames(self) -> list:
-        return [r.frame for r in self.records]
+    def _add(self, seq: int, frame: bytes, code: int) -> None:
+        self._seq.append(seq)
+        self._frames += frame
+        self._end.append(len(self._frames))
+        self._outcome.append(code)
+
+    @property
+    def records(self) -> list[Intercept]:
+        return list(self)
+
+    def frames(self) -> list[bytes]:
+        data = bytes(self._frames)
+        return [data[start:end] for start, end in zip((0, *self._end), self._end)]
+
+    def outcomes(self) -> list[Delivery | None]:
+        return [_BY_CODE[code] for code in self._outcome]
+
+    def _first_misfit(self) -> tuple[int, int] | None:
+        """(k, length) of the first frame that is not WIRE_LEN bytes, or None."""
+        lengths = np.diff(np.array(self._end, dtype=np.int64), prepend=0)
+        bad = np.flatnonzero(lengths != WIRE_LEN)
+        return (int(bad[0]), int(lengths[bad[0]])) if bad.size else None
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self._seq)
 
     def __iter__(self):
-        return iter(self.records)
+        return map(Intercept, self._seq, self.frames(), self.outcomes())
 
 
 class Channel:
@@ -96,13 +135,13 @@ class Channel:
         with that outcome.
         """
         if self._rng.random() < self.config.loss_prob:
-            tx = Transmission(Delivery.DROPPED, None)
+            code, data = _DROPPED, None
         elif self._rng.random() < self.config.tamper_prob:
-            tx = Transmission(Delivery.TAMPERED, self._tamper(wire))
+            code, data = _TAMPERED, self._tamper(wire)
         else:
-            tx = Transmission(Delivery.DELIVERED, bytes(wire))
-        self.intercepts.append(Intercept(len(self.intercepts), bytes(wire), tx.outcome))
-        return tx
+            code, data = _DELIVERED, bytes(wire)
+        self.intercepts._add(len(self.intercepts), wire, code)
+        return Transmission(_BY_CODE[code], data)
 
     def _tamper(self, wire: bytes) -> bytes:
         mutated = bytearray(wire)
@@ -123,16 +162,14 @@ def export_intercepts(log: InterceptLog, path) -> None:
     offset ``36*k``.  A frame that is not 36 bytes raises ValueError before
     anything is written, since load_intercepts would refuse the corpus.
     """
-    lines = []
-    for k, r in enumerate(log):
-        if len(r.frame) != WIRE_LEN:
-            raise ValueError(f"{path}: frame {k} is {len(r.frame)} bytes, "
-                             f"a corpus frame is {WIRE_LEN}")
-        outcome = r.outcome.value if r.outcome is not None else ""
-        lines.append(f"{r.seq},{WIRE_LEN * k},{outcome}")
+    misfit = log._first_misfit()
+    if misfit:
+        raise ValueError(f"{path}: frame {misfit[0]} is {misfit[1]} bytes, "
+                         f"a corpus frame is {WIRE_LEN}")
+    sidecar = "\n".join(f"{seq},{WIRE_LEN * k},{_FIELDS[code]}"
+                        for k, (seq, code) in enumerate(zip(log._seq, log._outcome)))
     path = Path(path)
-    path.write_bytes(b"".join(r.frame for r in log))
-    sidecar = "\n".join(lines)
+    path.write_bytes(log._frames)
     Path(str(path) + ".idx").write_text(sidecar + "\n" if sidecar else "")
 
 
@@ -148,37 +185,47 @@ def load_intercepts(path) -> InterceptLog:
     if len(blob) % WIRE_LEN:
         raise ValueError(f"{path}: length {len(blob)} is not a multiple of {WIRE_LEN}")
     count = len(blob) // WIRE_LEN
-    sidecar = Path(str(path) + ".idx")
-    if not sidecar.exists():
-        index = [(k, None) for k in range(count)]
-    else:
-        index = []
-        lineno = 0
-        for lineno, line in enumerate(sidecar.read_text().splitlines(), start=1):
-            if not line.strip():
-                continue
-            k = len(index)
-            if k == count:
-                raise ValueError(f"{sidecar}:{lineno}: more lines than the {count} frames")
-            try:
-                seq_s, offset_s, outcome_s = line.split(",")
-                seq, offset = int(seq_s), int(offset_s)
-            except ValueError:
-                raise ValueError(f"{sidecar}:{lineno}: expected 'seq,offset,outcome'") from None
-            if offset != k * WIRE_LEN:
-                raise ValueError(
-                    f"{sidecar}:{lineno}: offset {offset}, frame {k} is at {k * WIRE_LEN}")
-            if outcome_s not in _OUTCOMES:
-                raise ValueError(f"{sidecar}:{lineno}: unknown outcome {outcome_s!r}")
-            index.append((seq, _OUTCOMES[outcome_s]))
-        if len(index) != count:
-            raise ValueError(f"{sidecar}:{lineno + 1}: no line for frame {len(index)} "
-                             f"of {count}")
     log = InterceptLog()
-    for k, (seq, outcome) in enumerate(index):
-        offset = k * WIRE_LEN
-        log.append(Intercept(seq, blob[offset:offset + WIRE_LEN], outcome))
+    log._frames = bytearray(blob)
+    log._end = array("q", range(WIRE_LEN, len(blob) + 1, WIRE_LEN))
+    sidecar = Path(str(path) + ".idx")
+    if sidecar.exists():
+        log._seq, log._outcome = _read_sidecar(sidecar, count)
+    else:
+        log._seq, log._outcome = array("q", range(count)), array("B", bytes(count))
     return log
+
+
+def _read_sidecar(sidecar: Path, count: int) -> tuple[array, array]:
+    """The seq and outcome-code columns of a sidecar with one line per frame."""
+    seqs, codes = array("q"), array("B")
+    lineno = 0
+    for lineno, line in enumerate(sidecar.read_text().splitlines(), start=1):
+        if not line.strip():
+            continue
+        k = len(codes)
+        if k == count:
+            raise ValueError(f"{sidecar}:{lineno}: more lines than the {count} frames")
+        try:
+            seq_s, offset_s, outcome_s = line.split(",")
+            seq, offset = int(seq_s), int(offset_s)
+        except ValueError:
+            raise ValueError(f"{sidecar}:{lineno}: expected 'seq,offset,outcome'") from None
+        if offset != k * WIRE_LEN:
+            raise ValueError(
+                f"{sidecar}:{lineno}: offset {offset}, frame {k} is at {k * WIRE_LEN}")
+        code = _FIELD_CODE.get(outcome_s)
+        if code is None:
+            raise ValueError(f"{sidecar}:{lineno}: unknown outcome {outcome_s!r}")
+        try:
+            seqs.append(seq)
+        except OverflowError:
+            raise ValueError(f"{sidecar}:{lineno}: seq {seq} does not fit in 64 bits") from None
+        codes.append(code)
+    if len(codes) != count:
+        raise ValueError(f"{sidecar}:{lineno + 1}: no line for frame {len(codes)} "
+                         f"of {count}")
+    return seqs, codes
 
 
 def extract_ciphertext(frames, mode: CipherMode = CipherMode.FULL) -> bytes:
@@ -188,9 +235,16 @@ def extract_ciphertext(frames, mode: CipherMode = CipherMode.FULL) -> bytes:
     mode keeps the whole 32-byte payload; selective mode keeps only bytes
     5..27 of it.
     """
-    frames = frames.frames() if isinstance(frames, InterceptLog) else list(frames)
-    for f in frames:
-        if len(f) != WIRE_LEN:
-            raise ValueError(f"wire frame is {WIRE_LEN} bytes, got {len(f)}")
-    wire = np.frombuffer(b"".join(frames), dtype=np.uint8).reshape(-1, WIRE_LEN)
+    if isinstance(frames, InterceptLog):
+        misfit = frames._first_misfit()
+        if misfit:
+            raise ValueError(f"wire frame is {WIRE_LEN} bytes, got {misfit[1]}")
+        blob = frames._frames
+    else:
+        frames = list(frames)
+        for f in frames:
+            if len(f) != WIRE_LEN:
+                raise ValueError(f"wire frame is {WIRE_LEN} bytes, got {len(f)}")
+        blob = b"".join(frames)
+    wire = np.frombuffer(blob, dtype=np.uint8).reshape(-1, WIRE_LEN)
     return wire[:, mode.ciphered].tobytes()

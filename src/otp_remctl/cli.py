@@ -142,7 +142,7 @@ def _cmd_session(args) -> int:
         export_intercepts(channel.intercepts, args.out)
     if args.log:
         log.save(args.log)
-    outcomes = Counter(r.outcome for r in channel.intercepts)
+    outcomes = Counter(channel.intercepts.outcomes())
     print(f"frames sent      : {controller.frames_sent}")
     print(f"dropped          : {outcomes[Delivery.DROPPED]}")
     print(f"tampered         : {outcomes[Delivery.TAMPERED]}")

@@ -16,11 +16,13 @@ live on different threads and meet only through the channel.
 """
 
 import enum
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import BadLength, KeyExhausted, KeyReused, OutOfRange
 from .frame import (
+    MAX_ADDRESS,
     CommandFrame,
     CommandRegistry,
     WireFrame,
@@ -152,65 +154,161 @@ class SessionRecord:
 
     @classmethod
     def from_line(cls, line: str) -> "SessionRecord":
-        seq_s, direction, addr_s, event, hexdata = line.split(",")
-        return cls(int(seq_s), direction, int(addr_s) if addr_s else None,
-                   event, bytes.fromhex(hexdata))
+        return cls(*_fields(line))
+
+
+def _fields(line: str) -> tuple:
+    """(seq, direction, address, event, data) of one log line; ValueError if malformed."""
+    seq_s, direction, addr_s, event, hexdata = line.split(",")
+    return (int(seq_s), direction, int(addr_s) if addr_s else None,
+            event, bytes.fromhex(hexdata))
+
+
+def _range_error(seq: int, address: int | None) -> str | None:
+    """Why a record does not fit the log's columns, or None."""
+    if not 0 <= seq < 2 ** 63:
+        return f"seq {seq} is outside 0..{2 ** 63 - 1}"
+    if address is not None and not 0 <= address <= MAX_ADDRESS:
+        return f"address {address} is outside 0..{MAX_ADDRESS}"
+    return None
 
 
 # Events each direction may log; a ch event is the channel's own outcome
 # name, which this module does not import, so it is not checked.
-_EVENTS = {"tx": {"sent", "exhausted"}, "ch": None,
-           "rx": {"accepted", *(f"discarded:{r.value}" for r in DiscardReason)}}
+_EVENTS = {"tx": ("sent", "exhausted"), "ch": None,
+           "rx": ("accepted", *(f"discarded:{r.value}" for r in DiscardReason))}
+
+# Every log numbers these (direction, event) pairs first, in this order,
+# and numbers any other pair, such as a ch event, when it first logs it.
+_FIXED_KINDS = tuple((d, e) for d, events in _EVENTS.items() for e in events or ())
+_FIXED_CODES = {kind: code for code, kind in enumerate(_FIXED_KINDS)}
+_TX_SENT, _TX_EXHAUSTED = _FIXED_CODES["tx", "sent"], _FIXED_CODES["tx", "exhausted"]
+_RX_ACCEPTED = _FIXED_CODES["rx", "accepted"]
+_RX_DISCARDED = {r: _FIXED_CODES["rx", f"discarded:{r.value}"] for r in DiscardReason}
+_MAX_KINDS = 2 ** 16  # the kind column holds unsigned 16-bit codes
 
 
 class SessionLog:
-    """Ordered record of every send, channel event and receive outcome."""
+    """Ordered record of every send, channel event and receive outcome.
+
+    The log is columnar: one bytearray of record data, plus array columns
+    for each record's seq, address (-1 for none), (direction, event) code
+    and the offset and length of its data.  A record whose data equals the
+    previous record's stores no new bytes, so a channel record repeats its
+    tx record's bytes unless the frame was tampered with.  SessionRecords
+    are built only when the log is read: ``records`` is a new list on
+    each access.
+    """
 
     def __init__(self, records=None) -> None:
-        self.records: list[SessionRecord] = list(records) if records else []
+        self._seq = array("q")
+        self._address = array("q")
+        self._kind = array("H")
+        self._offset = array("q")
+        self._length = array("q")
+        self._data = bytearray()
+        self._last = None
+        self._kinds = list(_FIXED_KINDS)
+        self._codes = dict(_FIXED_CODES)
+        for record in records or ():
+            self.append(record)
 
     def append(self, record: SessionRecord) -> None:
-        self.records.append(record)
+        error = _range_error(record.seq, record.address)
+        if error:
+            raise ValueError(error)
+        self._add(record.seq, self._code(record.direction, record.event),
+                  record.address, record.data)
+
+    def _code(self, direction: str, event: str) -> int:
+        code = self._codes.get((direction, event))
+        if code is None:
+            if len(self._kinds) == _MAX_KINDS:
+                raise ValueError(f"more than {_MAX_KINDS} distinct events in one log")
+            code = self._codes[direction, event] = len(self._kinds)
+            self._kinds.append((direction, event))
+        return code
+
+    def _add(self, seq: int, kind: int, address: int | None, data: bytes) -> None:
+        self._seq.append(seq)
+        self._address.append(-1 if address is None else address)
+        self._kind.append(kind)
+        if data != self._last:
+            self._offset.append(len(self._data))
+            self._data += data
+            self._last = bytes(data)  # a copy if the caller's data can change
+        else:
+            self._offset.append(self._offset[-1])
+        self._length.append(len(data))
+
+    def _rows(self, kinds=None):
+        """SessionRecords in log order, only those of ``kinds`` when given."""
+        names, data = self._kinds, bytes(self._data)
+        for seq, kind, address, offset, length in zip(
+                self._seq, self._kind, self._address, self._offset, self._length):
+            if kinds is None or kind in kinds:
+                direction, event = names[kind]
+                yield SessionRecord(seq, direction, None if address < 0 else address,
+                                    event, data[offset:offset + length])
+
+    @property
+    def records(self) -> list[SessionRecord]:
+        return list(self)
 
     def events(self, event: str) -> list[SessionRecord]:
         """Records whose event equals or prefixes ``event`` (reasons included)."""
-        return [r for r in self.records
-                if r.event == event or r.event.startswith(event + ":")]
+        return list(self._rows({code for code, (_, e) in enumerate(self._kinds)
+                                if e == event or e.startswith(event + ":")}))
 
     def save(self, path) -> None:
-        text = "\n".join(r.line() for r in self.records)
+        lines = []
+        with memoryview(self._data) as data:
+            for seq, kind, address, offset, length in zip(
+                    self._seq, self._kind, self._address, self._offset, self._length):
+                direction, event = self._kinds[kind]
+                addr = "" if address < 0 else address
+                lines.append(f"{seq},{direction},{addr},{event},"
+                             f"{data[offset:offset + length].hex()}")
+        text = "\n".join(lines)
         Path(path).write_text(text + "\n" if text else "")
 
     @classmethod
     def load(cls, path) -> "SessionLog":
-        records = []
+        log = cls()
         for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
             if not line.strip():
                 continue
             try:
-                record = SessionRecord.from_line(line)
+                seq, direction, address, event, data = _fields(line)
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: expected "
                                  "'seq,direction,address,event,hexdata'") from None
-            if record.direction not in _EVENTS:
-                raise ValueError(f"{path}:{lineno}: unknown direction {record.direction!r}")
-            events = _EVENTS[record.direction]
-            if events is not None and record.event not in events:
-                raise ValueError(f"{path}:{lineno}: unknown {record.direction} "
-                                 f"event {record.event!r}")
-            records.append(record)
-        return cls(records)
+            if direction not in _EVENTS:
+                raise ValueError(f"{path}:{lineno}: unknown direction {direction!r}")
+            events = _EVENTS[direction]
+            if events is not None and event not in events:
+                raise ValueError(f"{path}:{lineno}: unknown {direction} event {event!r}")
+            error = _range_error(seq, address)
+            if error:
+                raise ValueError(f"{path}:{lineno}: {error}")
+            log._add(seq, log._code(direction, event), address, data)
+        return log
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self._seq)
 
     def __iter__(self):
-        return iter(self.records)
+        return self._rows()
 
     def __eq__(self, other) -> bool:
+        # Equal record sequences are numbered and laid out identically.
         if not isinstance(other, SessionLog):
             return NotImplemented
-        return self.records == other.records
+        return self._columns() == other._columns()
+
+    def _columns(self) -> tuple:
+        return (self._seq, self._address, self._kind, self._offset, self._length,
+                self._data, self._kinds)
 
 
 def run_session(controller: Controller, controlee: Controlee, script,
@@ -222,25 +320,29 @@ def run_session(controller: Controller, controlee: Controlee, script,
     the session and is logged.
     """
     log = SessionLog()
+    add = log._add
+    ch_kinds = {}  # Delivery -> kind code, filled as outcomes first occur
     for seq, cmd in enumerate(script):
         try:
             wire = controller.send(cmd)
         except KeyExhausted:
-            log.append(SessionRecord(seq, "tx", None, "exhausted", b""))
+            add(seq, _TX_EXHAUSTED, None, b"")
             break
         wire_bytes = wire.to_bytes()
         addr = wire.address
-        log.append(SessionRecord(seq, "tx", addr, "sent", wire_bytes))
+        add(seq, _TX_SENT, addr, wire_bytes)
         tx = channel.transmit(wire_bytes)
+        ch = ch_kinds.get(tx.outcome)
+        if ch is None:
+            ch = ch_kinds[tx.outcome] = log._code("ch", tx.outcome.value)
         # A dropped frame (no data out of the link) is logged as it was sent.
         data = wire_bytes if tx.data is None else tx.data
-        log.append(SessionRecord(seq, "ch", addr, tx.outcome.value, data))
+        add(seq, ch, addr, data)
         if tx.data is None:
             continue
         outcome = controlee.receive(data)
         if outcome.accepted:
-            log.append(SessionRecord(seq, "rx", addr, "accepted", outcome.frame.data))
+            add(seq, _RX_ACCEPTED, addr, outcome.frame.data)
         else:
-            log.append(SessionRecord(
-                seq, "rx", addr, f"discarded:{outcome.reason.value}", data))
+            add(seq, _RX_DISCARDED[outcome.reason], addr, data)
     return log

@@ -1,4 +1,8 @@
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from otp_remctl.channel import (
     Channel,
@@ -136,8 +140,9 @@ def test_load_rejects_unknown_outcome(tmp_path):
     (3, "0,0,delivered\n1,36,dropped\n", ":3:"),
     (2, "0,0,delivered\n1,36\n", ":2:"),
     (1, "x,0,delivered\n", ":1:"),
+    (1, f"{2 ** 63},0,delivered\n", ":1:"),
 ], ids=["extra-line", "wrong-offset", "repeated-offset", "more-lines-than-frames",
-        "missing-line", "missing-field", "non-integer-seq"])
+        "missing-line", "missing-field", "non-integer-seq", "seq-over-int64"])
 def test_load_rejects_sidecar_that_contradicts_corpus(tmp_path, frames, sidecar, where):
     p = tmp_path / "corpus.bin"
     p.write_bytes(b"".join(_wire(i) for i in range(frames)))
@@ -165,9 +170,52 @@ def test_extract_ciphertext_modes():
             == b"".join(f[5:28] for f in distinct))
     with pytest.raises(ValueError):
         extract_ciphertext([b"\x00" * 35])
+    with pytest.raises(ValueError, match="got 35"):
+        extract_ciphertext(InterceptLog([Intercept(0, _wire(0)), Intercept(1, _wire(1)[:35])]))
 
 
 def test_extract_ciphertext_accepts_log():
     ch = Channel(ChannelConfig(rng_seed=0))
     ch.transmit(_wire(3))
     assert extract_ciphertext(ch.intercepts) == _wire(3)[:32]
+
+
+def test_outcomes_and_fresh_records():
+    ch = Channel(ChannelConfig(loss_prob=0.5, tamper_prob=0.5, rng_seed=6))
+    sent = [ch.transmit(_wire(i)).outcome for i in range(20)]
+    assert ch.intercepts.outcomes() == sent
+    assert ch.intercepts.records is not ch.intercepts.records
+    with pytest.raises(AttributeError):
+        ch.intercepts.records = []
+
+
+_INTERCEPTS = st.lists(st.builds(
+    Intercept, st.integers(-2 ** 63, 2 ** 63 - 1),
+    st.sampled_from([_wire(0), _wire(7)]) | st.binary(min_size=35, max_size=37),
+    st.none() | st.sampled_from(Delivery)), max_size=10)
+
+
+@given(_INTERCEPTS)
+@settings(max_examples=150, deadline=None)
+def test_columnar_tap_matches_a_list_of_intercepts(records):
+    log = InterceptLog(records)
+    assert list(log) == records and log.records == records and len(log) == len(records)
+    assert log.frames() == [r.frame for r in records]
+    assert log.outcomes() == [r.outcome for r in records]
+    misfit = next((k for k, r in enumerate(records) if len(r.frame) != 36), None)
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "corpus.bin"
+        if misfit is not None:
+            with pytest.raises(ValueError, match=f"frame {misfit} is"):
+                export_intercepts(log, path)
+            with pytest.raises(ValueError):
+                extract_ciphertext(log)
+            return
+        export_intercepts(log, path)
+        assert path.read_bytes() == b"".join(r.frame for r in records)
+        sidecar = "\n".join(f"{r.seq},{36 * k},{r.outcome.value if r.outcome else ''}"
+                            for k, r in enumerate(records))
+        assert Path(d, "corpus.bin.idx").read_text() == (sidecar + "\n" if sidecar else "")
+        assert list(load_intercepts(path)) == records
+    for mode in CipherMode:
+        assert extract_ciphertext(log, mode) == extract_ciphertext(log.frames(), mode)

@@ -1,3 +1,7 @@
+import tempfile
+import tracemalloc
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -6,6 +10,7 @@ from otp_remctl.entropy import SeededSource
 from otp_remctl.errors import BadLength, KeyExhausted, KeyReused, OutOfRange
 from otp_remctl.frame import (
     HEADER,
+    MAX_ADDRESS,
     CipherMode,
     CommandFrame,
     otp_decrypt,
@@ -364,3 +369,92 @@ def test_session_log_event_filter():
     assert len(log.events("accepted")) == 1
     assert len(log.events("discarded")) == 2
     assert len(log.events("discarded:replay_or_stale")) == 1
+
+
+@pytest.mark.parametrize("line, error", [
+    ("0,tx,-1,sent,00", f"address -1 is outside 0..{MAX_ADDRESS}"),
+    ("0,tx,4294967296,sent,00", f"address 4294967296 is outside 0..{MAX_ADDRESS}"),
+    ("-1,tx,0,sent,00", f"seq -1 is outside 0..{2 ** 63 - 1}"),
+])
+def test_session_log_rejects_values_outside_its_columns(tmp_path, line, error):
+    p = tmp_path / "s.log"
+    p.write_text(f"0,tx,0,sent,00ff\n{line}\n")
+    with pytest.raises(ValueError, match=rf"s\.log:2: {error}$"):
+        SessionLog.load(p)
+    with pytest.raises(ValueError, match=rf"^{error}$"):
+        SessionLog([SessionRecord.from_line(line)])
+
+
+_LOGGED_DATA = st.sampled_from([b"", bytes(36), bytes(range(32))]) | st.binary(max_size=40)
+_RECORDS = st.lists(st.one_of(
+    st.builds(SessionRecord, st.integers(0, 2 ** 63 - 1), st.just("tx"),
+              st.none() | st.integers(0, MAX_ADDRESS), st.sampled_from(["sent", "exhausted"]),
+              _LOGGED_DATA),
+    st.builds(SessionRecord, st.integers(0, 2 ** 63 - 1), st.just("ch"),
+              st.none() | st.integers(0, MAX_ADDRESS),
+              st.text("abcdefghijklmnopqrstuvwxyz_:", min_size=1, max_size=12), _LOGGED_DATA),
+    st.builds(SessionRecord, st.integers(0, 2 ** 63 - 1), st.just("rx"),
+              st.none() | st.integers(0, MAX_ADDRESS),
+              st.sampled_from(["accepted", *(f"discarded:{r.value}" for r in DiscardReason)]),
+              _LOGGED_DATA),
+), max_size=12)
+
+
+@given(_RECORDS, _RECORDS, st.sampled_from(["sent", "accepted", "discarded", "delivered",
+                                            "discarded:replay_or_stale"]))
+@settings(max_examples=150, deadline=None)
+def test_columnar_log_matches_a_list_of_records(records, others, event):
+    log = SessionLog(records)
+    assert list(log) == records and log.records == records and len(log) == len(records)
+    assert log.events(event) == [r for r in records
+                                 if r.event == event or r.event.startswith(event + ":")]
+    assert (log == SessionLog(others)) == (records == others)
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "s.log"
+        log.save(path)
+        text = "\n".join(r.line() for r in records)
+        assert path.read_text() == (text + "\n" if text else "")
+        assert SessionLog.load(path) == log
+
+
+def test_session_log_caps_distinct_events():
+    log = SessionLog()
+    with pytest.raises(ValueError, match="more than 65536 distinct events in one log"):
+        for i in range(2 ** 16):
+            log.append(SessionRecord(i, "ch", 0, str(i), b""))
+    assert 2 ** 16 - 16 < len(log) < 2 ** 16
+    assert list(log)[-1] == SessionRecord(len(log) - 1, "ch", 0, str(len(log) - 1), b"")
+
+
+def test_records_is_a_fresh_read_only_list():
+    log = SessionLog([SessionRecord(0, "tx", 0, "sent", b"\x01")])
+    assert log.records is not log.records
+    log.records.clear()
+    assert len(log) == 1
+    with pytest.raises(AttributeError):
+        log.records = []
+
+
+def test_session_log_memory_per_command():
+    n = 2000
+    tx, rx = charge(SeededSource(6), 32, n)
+    script = [REG.lookup(REG.names()[i % 5]) for i in range(n)]
+    ctrl, clee = Controller(tx), Controlee(rx)
+    channel = Channel(ChannelConfig(loss_prob=0.2, tamper_prob=0.02, rng_seed=8))
+    tracemalloc.start()
+    try:
+        log = run_session(ctrl, clee, script, channel)
+        del channel  # the tap is the channel's; count only what the log holds
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(log.events("sent")) == n
+    assert held / n <= 200
+
+
+def test_session_log_keeps_what_was_appended():
+    data = bytearray(b"\x01\x02")
+    log = SessionLog([SessionRecord(0, "tx", 0, "sent", data)])
+    data[0] = 9
+    log.append(SessionRecord(0, "ch", 0, "delivered", data))
+    assert [r.data for r in log] == [b"\x01\x02", b"\x09\x02"]
