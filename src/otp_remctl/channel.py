@@ -72,16 +72,17 @@ class InterceptLog:
     """Everything seen on the air, in transmission order.
 
     The log is columnar: the frames sit back to back in one bytearray,
-    and array columns hold each frame's seq, end offset and outcome code.
-    Intercepts are built only when the log is iterated, and ``records``
-    is a new list on each access; ``frames()`` and ``outcomes()`` are the
-    cheap reads.
+    frame k at offset ``36*k``, and array columns hold each frame's seq
+    and outcome code.  Every frame is a 36-byte wire frame; any other
+    length raises ValueError and leaves the log as it was.  Intercepts
+    are built only when the log is iterated, and ``records`` is a new
+    list on each access; ``frames()`` and ``outcomes()`` are the cheap
+    reads.
     """
 
     def __init__(self, records=()) -> None:
         self._frames = bytearray()
         self._seq = array("q")
-        self._end = array("q")
         self._outcome = array("B")
         for record in records:
             self.append(record)
@@ -90,9 +91,10 @@ class InterceptLog:
         self._add(record.seq, bytes(record.frame), _CODE[record.outcome])
 
     def _add(self, seq: int, frame: bytes, code: int) -> None:
+        if len(frame) != WIRE_LEN:
+            raise ValueError(f"a tap frame is {WIRE_LEN} bytes, got {len(frame)}")
         self._seq.append(seq)
         self._frames += frame
-        self._end.append(len(self._frames))
         self._outcome.append(code)
 
     @property
@@ -101,16 +103,10 @@ class InterceptLog:
 
     def frames(self) -> list[bytes]:
         data = bytes(self._frames)
-        return [data[start:end] for start, end in zip((0, *self._end), self._end)]
+        return [data[k:k + WIRE_LEN] for k in range(0, len(data), WIRE_LEN)]
 
     def outcomes(self) -> list[Delivery | None]:
         return [_BY_CODE[code] for code in self._outcome]
-
-    def _first_misfit(self) -> tuple[int, int] | None:
-        """(k, length) of the first frame that is not WIRE_LEN bytes, or None."""
-        lengths = np.diff(np.array(self._end, dtype=np.int64), prepend=0)
-        bad = np.flatnonzero(lengths != WIRE_LEN)
-        return (int(bad[0]), int(lengths[bad[0]])) if bad.size else None
 
     def __len__(self) -> int:
         return len(self._seq)
@@ -132,15 +128,18 @@ class Channel:
 
         The frame is dropped with loss_prob, else tampered with
         tamper_prob, else delivered intact; the tap records it as sent,
-        with that outcome.
+        with that outcome.  A frame that is not 36 bytes raises ValueError
+        before the link draws anything.
         """
+        tap = self.intercepts
+        tap._add(len(tap), wire, 0)  # checks the width; the outcome is set below
         if self._rng.random() < self.config.loss_prob:
             code, data = _DROPPED, None
         elif self._rng.random() < self.config.tamper_prob:
             code, data = _TAMPERED, self._tamper(wire)
         else:
             code, data = _DELIVERED, bytes(wire)
-        self.intercepts._add(len(self.intercepts), wire, code)
+        tap._outcome[-1] = code
         return Transmission(_BY_CODE[code], data)
 
     def _tamper(self, wire: bytes) -> bytes:
@@ -159,13 +158,8 @@ def export_intercepts(log: InterceptLog, path) -> None:
     """Write the corpus (concatenated frames) plus a ``.idx`` sidecar.
 
     Sidecar lines are ``seq,offset,outcome``, one per frame, frame k at
-    offset ``36*k``.  A frame that is not 36 bytes raises ValueError before
-    anything is written, since load_intercepts would refuse the corpus.
+    offset ``36*k``.
     """
-    misfit = log._first_misfit()
-    if misfit:
-        raise ValueError(f"{path}: frame {misfit[0]} is {misfit[1]} bytes, "
-                         f"a corpus frame is {WIRE_LEN}")
     sidecar = "\n".join(f"{seq},{WIRE_LEN * k},{_FIELDS[code]}"
                         for k, (seq, code) in enumerate(zip(log._seq, log._outcome)))
     path = Path(path)
@@ -187,7 +181,6 @@ def load_intercepts(path) -> InterceptLog:
     count = len(blob) // WIRE_LEN
     log = InterceptLog()
     log._frames = bytearray(blob)
-    log._end = array("q", range(WIRE_LEN, len(blob) + 1, WIRE_LEN))
     sidecar = Path(str(path) + ".idx")
     if sidecar.exists():
         log._seq, log._outcome = _read_sidecar(sidecar, count)
@@ -235,16 +228,7 @@ def extract_ciphertext(frames, mode: CipherMode = CipherMode.FULL) -> bytes:
     mode keeps the whole 32-byte payload; selective mode keeps only bytes
     5..27 of it.
     """
-    if isinstance(frames, InterceptLog):
-        misfit = frames._first_misfit()
-        if misfit:
-            raise ValueError(f"wire frame is {WIRE_LEN} bytes, got {misfit[1]}")
-        blob = frames._frames
-    else:
-        frames = list(frames)
-        for f in frames:
-            if len(f) != WIRE_LEN:
-                raise ValueError(f"wire frame is {WIRE_LEN} bytes, got {len(f)}")
-        blob = b"".join(frames)
-    wire = np.frombuffer(blob, dtype=np.uint8).reshape(-1, WIRE_LEN)
+    if not isinstance(frames, InterceptLog):
+        frames = InterceptLog(Intercept(k, f) for k, f in enumerate(frames))
+    wire = np.frombuffer(frames._frames, dtype=np.uint8).reshape(-1, WIRE_LEN)
     return wire[:, mode.ciphered].tobytes()

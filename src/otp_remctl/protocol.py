@@ -20,6 +20,7 @@ from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
+from .channel import Delivery
 from .errors import BadLength, KeyExhausted, KeyReused, OutOfRange
 from .frame import (
     MAX_ADDRESS,
@@ -164,70 +165,60 @@ def _fields(line: str) -> tuple:
             event, bytes.fromhex(hexdata))
 
 
-def _range_error(seq: int, address: int | None) -> str | None:
-    """Why a record does not fit the log's columns, or None."""
+# Every (direction, event) pair the program logs; a record's kind code is
+# its index here, and a log holds no other pair.
+_KINDS = (("tx", "sent"), ("tx", "exhausted"),
+          *(("ch", d.value) for d in Delivery),
+          ("rx", "accepted"), *(("rx", f"discarded:{r.value}") for r in DiscardReason))
+_KIND = {kind: code for code, kind in enumerate(_KINDS)}
+_TX_SENT, _TX_EXHAUSTED = _KIND["tx", "sent"], _KIND["tx", "exhausted"]
+_CH = {d: _KIND["ch", d.value] for d in Delivery}
+_RX_ACCEPTED = _KIND["rx", "accepted"]
+_RX_DISCARDED = {r: _KIND["rx", f"discarded:{r.value}"] for r in DiscardReason}
+
+
+def _checked_kind(seq: int, direction: str, address: int | None, event: str) -> int:
+    """The kind code of a record's fields; ValueError if the log cannot hold them."""
+    kind = _KIND.get((direction, event))
+    if kind is None:
+        if direction not in {d for d, _ in _KINDS}:
+            raise ValueError(f"unknown direction {direction!r}")
+        raise ValueError(f"unknown {direction} event {event!r}")
     if not 0 <= seq < 2 ** 63:
-        return f"seq {seq} is outside 0..{2 ** 63 - 1}"
+        raise ValueError(f"seq {seq} is outside 0..{2 ** 63 - 1}")
     if address is not None and not 0 <= address <= MAX_ADDRESS:
-        return f"address {address} is outside 0..{MAX_ADDRESS}"
-    return None
-
-
-# Events each direction may log; a ch event is the channel's own outcome
-# name, which this module does not import, so it is not checked.
-_EVENTS = {"tx": ("sent", "exhausted"), "ch": None,
-           "rx": ("accepted", *(f"discarded:{r.value}" for r in DiscardReason))}
-
-# Every log numbers these (direction, event) pairs first, in this order,
-# and numbers any other pair, such as a ch event, when it first logs it.
-_FIXED_KINDS = tuple((d, e) for d, events in _EVENTS.items() for e in events or ())
-_FIXED_CODES = {kind: code for code, kind in enumerate(_FIXED_KINDS)}
-_TX_SENT, _TX_EXHAUSTED = _FIXED_CODES["tx", "sent"], _FIXED_CODES["tx", "exhausted"]
-_RX_ACCEPTED = _FIXED_CODES["rx", "accepted"]
-_RX_DISCARDED = {r: _FIXED_CODES["rx", f"discarded:{r.value}"] for r in DiscardReason}
-_MAX_KINDS = 2 ** 16  # the kind column holds unsigned 16-bit codes
+        raise ValueError(f"address {address} is outside 0..{MAX_ADDRESS}")
+    return kind
 
 
 class SessionLog:
     """Ordered record of every send, channel event and receive outcome.
 
     The log is columnar: one bytearray of record data, plus array columns
-    for each record's seq, address (-1 for none), (direction, event) code
-    and the offset and length of its data.  A record whose data equals the
-    previous record's stores no new bytes, so a channel record repeats its
-    tx record's bytes unless the frame was tampered with.  SessionRecords
-    are built only when the log is read: ``records`` is a new list on
-    each access.
+    for each record's seq, address (-1 for none), kind (its index in the
+    fixed table of (direction, event) pairs) and the offset and length of
+    its data.  ``append`` and ``load`` refuse any pair outside that table.
+    A record whose data equals the previous record's stores no new bytes,
+    so a channel record repeats its tx record's bytes unless the frame was
+    tampered with.  SessionRecords are built only when the log is read:
+    ``records`` is a new list on each access.
     """
 
     def __init__(self, records=None) -> None:
         self._seq = array("q")
         self._address = array("q")
-        self._kind = array("H")
+        self._kind = array("B")
         self._offset = array("q")
         self._length = array("q")
         self._data = bytearray()
         self._last = None
-        self._kinds = list(_FIXED_KINDS)
-        self._codes = dict(_FIXED_CODES)
         for record in records or ():
             self.append(record)
 
     def append(self, record: SessionRecord) -> None:
-        error = _range_error(record.seq, record.address)
-        if error:
-            raise ValueError(error)
-        self._add(record.seq, self._code(record.direction, record.event),
-                  record.address, record.data)
-
-    def _code(self, direction: str, event: str) -> int:
-        code = self._codes.get((direction, event))
-        if code is None:
-            if len(self._kinds) == _MAX_KINDS:
-                raise ValueError(f"more than {_MAX_KINDS} distinct events in one log")
-            code = self._codes[direction, event] = len(self._kinds)
-            self._kinds.append((direction, event))
-        return code
+        seq, address = record.seq, record.address
+        kind = _checked_kind(seq, record.direction, address, record.event)
+        self._add(seq, kind, address, record.data)
 
     def _add(self, seq: int, kind: int, address: int | None, data: bytes) -> None:
         self._seq.append(seq)
@@ -243,11 +234,11 @@ class SessionLog:
 
     def _rows(self, kinds=None):
         """SessionRecords in log order, only those of ``kinds`` when given."""
-        names, data = self._kinds, bytes(self._data)
+        data = bytes(self._data)
         for seq, kind, address, offset, length in zip(
                 self._seq, self._kind, self._address, self._offset, self._length):
             if kinds is None or kind in kinds:
-                direction, event = names[kind]
+                direction, event = _KINDS[kind]
                 yield SessionRecord(seq, direction, None if address < 0 else address,
                                     event, data[offset:offset + length])
 
@@ -257,7 +248,7 @@ class SessionLog:
 
     def events(self, event: str) -> list[SessionRecord]:
         """Records whose event equals or prefixes ``event`` (reasons included)."""
-        return list(self._rows({code for code, (_, e) in enumerate(self._kinds)
+        return list(self._rows({code for code, (_, e) in enumerate(_KINDS)
                                 if e == event or e.startswith(event + ":")}))
 
     def save(self, path) -> None:
@@ -265,7 +256,7 @@ class SessionLog:
         with memoryview(self._data) as data:
             for seq, kind, address, offset, length in zip(
                     self._seq, self._kind, self._address, self._offset, self._length):
-                direction, event = self._kinds[kind]
+                direction, event = _KINDS[kind]
                 addr = "" if address < 0 else address
                 lines.append(f"{seq},{direction},{addr},{event},"
                              f"{data[offset:offset + length].hex()}")
@@ -283,15 +274,11 @@ class SessionLog:
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: expected "
                                  "'seq,direction,address,event,hexdata'") from None
-            if direction not in _EVENTS:
-                raise ValueError(f"{path}:{lineno}: unknown direction {direction!r}")
-            events = _EVENTS[direction]
-            if events is not None and event not in events:
-                raise ValueError(f"{path}:{lineno}: unknown {direction} event {event!r}")
-            error = _range_error(seq, address)
-            if error:
-                raise ValueError(f"{path}:{lineno}: {error}")
-            log._add(seq, log._code(direction, event), address, data)
+            try:
+                kind = _checked_kind(seq, direction, address, event)
+            except ValueError as e:
+                raise ValueError(f"{path}:{lineno}: {e}") from None
+            log._add(seq, kind, address, data)
         return log
 
     def __len__(self) -> int:
@@ -301,14 +288,14 @@ class SessionLog:
         return self._rows()
 
     def __eq__(self, other) -> bool:
-        # Equal record sequences are numbered and laid out identically.
+        # Equal record sequences are laid out identically.
         if not isinstance(other, SessionLog):
             return NotImplemented
         return self._columns() == other._columns()
 
     def _columns(self) -> tuple:
         return (self._seq, self._address, self._kind, self._offset, self._length,
-                self._data, self._kinds)
+                self._data)
 
 
 def run_session(controller: Controller, controlee: Controlee, script,
@@ -321,7 +308,6 @@ def run_session(controller: Controller, controlee: Controlee, script,
     """
     log = SessionLog()
     add = log._add
-    ch_kinds = {}  # Delivery -> kind code, filled as outcomes first occur
     for seq, cmd in enumerate(script):
         try:
             wire = controller.send(cmd)
@@ -332,12 +318,9 @@ def run_session(controller: Controller, controlee: Controlee, script,
         addr = wire.address
         add(seq, _TX_SENT, addr, wire_bytes)
         tx = channel.transmit(wire_bytes)
-        ch = ch_kinds.get(tx.outcome)
-        if ch is None:
-            ch = ch_kinds[tx.outcome] = log._code("ch", tx.outcome.value)
         # A dropped frame (no data out of the link) is logged as it was sent.
         data = wire_bytes if tx.data is None else tx.data
-        add(seq, ch, addr, data)
+        add(seq, _CH[tx.outcome], addr, data)
         if tx.data is None:
             continue
         outcome = controlee.receive(data)

@@ -107,14 +107,42 @@ def test_export_empty_log(tmp_path):
     assert len(load_intercepts(p)) == 0
 
 
-def test_export_rejects_a_frame_load_would_refuse(tmp_path):
-    log = InterceptLog()
-    log.append(Intercept(0, _wire(0)))
-    log.append(Intercept(1, _wire(1)[:35]))
+@pytest.mark.parametrize("length", [35, 37])
+def test_tap_holds_only_wire_frames(length):
+    good, bad = Intercept(0, _wire(0)), Intercept(1, bytes(length))
+    with pytest.raises(ValueError, match=f"^a tap frame is 36 bytes, got {length}$"):
+        InterceptLog([good, bad])
+    log = InterceptLog([good])
+    with pytest.raises(ValueError, match=f"got {length}$"):
+        log.append(bad)
+    assert log.records == [good]
+
+
+def test_rejected_append_leaves_the_log_exporting_its_frames(tmp_path):
+    log = InterceptLog([Intercept(0, _wire(0), Delivery.DELIVERED)])
+    with pytest.raises(ValueError, match="got 35"):
+        log.append(Intercept(1, _wire(1)[:35], Delivery.DROPPED))
+    log.append(Intercept(2, _wire(2)))
     p = tmp_path / "corpus.bin"
-    with pytest.raises(ValueError, match="frame 1 is 35 bytes"):
-        export_intercepts(log, p)
-    assert not p.exists() and not (tmp_path / "corpus.bin.idx").exists()
+    export_intercepts(log, p)
+    assert p.read_bytes() == _wire(0) + _wire(2)
+    assert (tmp_path / "corpus.bin.idx").read_text() == "0,0,delivered\n2,36,\n"
+    assert list(load_intercepts(p)) == list(log)
+
+
+@pytest.mark.parametrize("model", TamperModel)
+@pytest.mark.parametrize("loss, tamper", [(1.0, 0.0), (0.0, 1.0), (0.0, 0.0), (0.3, 0.3)],
+                         ids=["lost", "tampered", "delivered", "mixed"])
+@pytest.mark.parametrize("length", [10, 35, 37])
+def test_transmit_refuses_a_frame_that_is_not_36_bytes(model, loss, tamper, length):
+    config = ChannelConfig(loss_prob=loss, tamper_prob=tamper, tamper_model=model, rng_seed=11)
+    ch, fresh = Channel(config), Channel(config)
+    assert ch.transmit(_wire(0)) == fresh.transmit(_wire(0))
+    with pytest.raises(ValueError, match=f"got {length}$"):
+        ch.transmit(bytes(length))
+    assert ch.intercepts.records == fresh.intercepts.records
+    assert ([ch.transmit(_wire(i)) for i in range(1, 30)]
+            == [fresh.transmit(_wire(i)) for i in range(1, 30)])
 
 
 def test_load_rejects_ragged_corpus(tmp_path):
@@ -168,10 +196,10 @@ def test_extract_ciphertext_modes():
     assert extract_ciphertext(iter(distinct)) == b"".join(f[:32] for f in distinct)
     assert (extract_ciphertext(distinct, CipherMode.SELECTIVE)
             == b"".join(f[5:28] for f in distinct))
-    with pytest.raises(ValueError):
-        extract_ciphertext([b"\x00" * 35])
     with pytest.raises(ValueError, match="got 35"):
-        extract_ciphertext(InterceptLog([Intercept(0, _wire(0)), Intercept(1, _wire(1)[:35])]))
+        extract_ciphertext([_wire(0), b"\x00" * 35])
+    with pytest.raises(ValueError, match="got 37"):
+        extract_ciphertext(iter([b"\x00" * 37]))
 
 
 def test_extract_ciphertext_accepts_log():
@@ -191,7 +219,7 @@ def test_outcomes_and_fresh_records():
 
 _INTERCEPTS = st.lists(st.builds(
     Intercept, st.integers(-2 ** 63, 2 ** 63 - 1),
-    st.sampled_from([_wire(0), _wire(7)]) | st.binary(min_size=35, max_size=37),
+    st.sampled_from([_wire(0), _wire(7)]) | st.binary(min_size=36, max_size=36),
     st.none() | st.sampled_from(Delivery)), max_size=10)
 
 
@@ -202,15 +230,8 @@ def test_columnar_tap_matches_a_list_of_intercepts(records):
     assert list(log) == records and log.records == records and len(log) == len(records)
     assert log.frames() == [r.frame for r in records]
     assert log.outcomes() == [r.outcome for r in records]
-    misfit = next((k for k, r in enumerate(records) if len(r.frame) != 36), None)
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / "corpus.bin"
-        if misfit is not None:
-            with pytest.raises(ValueError, match=f"frame {misfit} is"):
-                export_intercepts(log, path)
-            with pytest.raises(ValueError):
-                extract_ciphertext(log)
-            return
         export_intercepts(log, path)
         assert path.read_bytes() == b"".join(r.frame for r in records)
         sidecar = "\n".join(f"{r.seq},{36 * k},{r.outcome.value if r.outcome else ''}"

@@ -323,7 +323,8 @@ def test_session_record_line_roundtrip():
 def test_session_log_roundtrip(tmp_path):
     ctrl, clee = _pair(blocks=16)
     log = run_session(ctrl, clee, [CONNECTION] * 10,
-                      Channel(ChannelConfig(loss_prob=0.3, rng_seed=2)))
+                      Channel(ChannelConfig(loss_prob=0.3, tamper_prob=0.3, rng_seed=2)))
+    assert all(log.events(d.value) for d in Delivery) and log.events("discarded")
     p = tmp_path / "s.log"
     log.save(p)
     assert SessionLog.load(p) == log
@@ -334,6 +335,7 @@ _BAD_EVENTS = {
     "0,zz,0,bogus,00": "unknown direction 'zz'",
     "0,tx,0,delivered,00": "unknown tx event 'delivered'",
     "0,rx,0,discarded:sunspots,00": "unknown rx event 'discarded:sunspots'",
+    "0,ch,0,jammed,00": "unknown ch event 'jammed'",
 }
 
 
@@ -352,12 +354,20 @@ def test_session_log_load_names_file_and_line(tmp_path, line):
         SessionLog.load(p)
 
 
-def test_session_log_load_keeps_any_channel_event(tmp_path):
+# Every (direction, event) pair the program logs, and no other.
+_LOGGED_EVENTS = [("tx", "sent"), ("tx", "exhausted"), *(("ch", d.value) for d in Delivery),
+                  ("rx", "accepted"), *(("rx", f"discarded:{r.value}") for r in DiscardReason)]
+
+
+def test_session_log_loads_every_logged_event(tmp_path):
+    assert ("rx", "discarded:address_jump") in _LOGGED_EVENTS
     p = tmp_path / "s.log"
-    p.write_text("0,tx,0,sent,00\n0,ch,0,jammed,00\n0,tx,,exhausted,\n"
-                 "1,rx,1,discarded:address_jump,00\n")
-    assert [r.event for r in SessionLog.load(p)] == [
-        "sent", "jammed", "exhausted", "discarded:address_jump"]
+    text = "".join(f"{k},{d},{k},{e},0{k:x}\n" for k, (d, e) in enumerate(_LOGGED_EVENTS))
+    p.write_text(text)
+    log = SessionLog.load(p)
+    assert [(r.direction, r.event) for r in log] == _LOGGED_EVENTS
+    log.save(p)
+    assert p.read_text() == text
 
 
 def test_session_log_event_filter():
@@ -392,7 +402,7 @@ _RECORDS = st.lists(st.one_of(
               _LOGGED_DATA),
     st.builds(SessionRecord, st.integers(0, 2 ** 63 - 1), st.just("ch"),
               st.none() | st.integers(0, MAX_ADDRESS),
-              st.text("abcdefghijklmnopqrstuvwxyz_:", min_size=1, max_size=12), _LOGGED_DATA),
+              st.sampled_from([d.value for d in Delivery]), _LOGGED_DATA),
     st.builds(SessionRecord, st.integers(0, 2 ** 63 - 1), st.just("rx"),
               st.none() | st.integers(0, MAX_ADDRESS),
               st.sampled_from(["accepted", *(f"discarded:{r.value}" for r in DiscardReason)]),
@@ -417,13 +427,17 @@ def test_columnar_log_matches_a_list_of_records(records, others, event):
         assert SessionLog.load(path) == log
 
 
-def test_session_log_caps_distinct_events():
-    log = SessionLog()
-    with pytest.raises(ValueError, match="more than 65536 distinct events in one log"):
-        for i in range(2 ** 16):
-            log.append(SessionRecord(i, "ch", 0, str(i), b""))
-    assert 2 ** 16 - 16 < len(log) < 2 ** 16
-    assert list(log)[-1] == SessionRecord(len(log) - 1, "ch", 0, str(len(log) - 1), b"")
+@pytest.mark.parametrize("line", _BAD_EVENTS)
+def test_session_log_append_refuses_an_unknown_event(line):
+    records = [SessionRecord(0, "tx", 0, "sent", b"\x01"),
+               SessionRecord(0, "ch", 0, "delivered", b"\x01")]
+    log = SessionLog(records)
+    bad = SessionRecord.from_line(line)
+    with pytest.raises(ValueError, match=rf"^{_BAD_EVENTS[line]}$"):
+        log.append(bad)
+    assert log == SessionLog(records) and list(log) == records
+    with pytest.raises(ValueError, match=rf"^{_BAD_EVENTS[line]}$"):
+        SessionLog([*records, bad])
 
 
 def test_records_is_a_fresh_read_only_list():
