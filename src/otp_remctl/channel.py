@@ -43,7 +43,7 @@ class ChannelConfig:
                 raise ValueError(f"{name} must be in [0, 1], got {p}")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Transmission:
     """What came out the far end of the link for one frame."""
 
@@ -73,11 +73,11 @@ class InterceptLog:
 
     The log is columnar: the frames sit back to back in one bytearray,
     frame k at offset ``36*k``, and array columns hold each frame's seq
-    and outcome code.  Every frame is a 36-byte wire frame; any other
-    length raises ValueError and leaves the log as it was.  Intercepts
-    are built only when the log is iterated, and ``records`` is a new
-    list on each access; ``frames()`` and ``outcomes()`` are the cheap
-    reads.
+    and outcome code.  Every frame is a 36-byte wire frame, every seq
+    fits in int64 and every outcome is a Delivery or None; anything else
+    raises ValueError and leaves the log as it was.  Intercepts are built
+    only when the log is iterated, and ``records`` is a new list on each
+    access; ``frames()`` and ``outcomes()`` are the cheap reads.
     """
 
     def __init__(self, records=()) -> None:
@@ -88,7 +88,12 @@ class InterceptLog:
             self.append(record)
 
     def append(self, record: Intercept) -> None:
-        self._add(record.seq, bytes(record.frame), _CODE[record.outcome])
+        seq, outcome = record.seq, record.outcome
+        if not -2 ** 63 <= seq < 2 ** 63:
+            raise ValueError(f"seq {seq} is outside {-2 ** 63}..{2 ** 63 - 1}")
+        if outcome is not None and not isinstance(outcome, Delivery):
+            raise ValueError(f"unknown outcome {outcome!r}")
+        self._add(seq, bytes(record.frame), _CODE[outcome])
 
     def _add(self, seq: int, frame: bytes, code: int) -> None:
         if len(frame) != WIRE_LEN:
@@ -113,6 +118,12 @@ class InterceptLog:
 
     def __iter__(self):
         return map(Intercept, self._seq, self.frames(), self.outcomes())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, InterceptLog):
+            return NotImplemented
+        return ((self._seq, self._outcome, self._frames)
+                == (other._seq, other._outcome, other._frames))
 
 
 class Channel:

@@ -63,6 +63,12 @@ class CipherMode(enum.Enum):
         raise ValueError(f"no cipher mode uses {block_size}-byte key blocks")
 
 
+# Each mode's (key length, shift): its key, shifted left by the count of
+# clear bits after its ciphered region, lines up with that region of the
+# payload read as one big-endian int, and has zeros over the clear bytes.
+_PAD = {mode: (mode.key_length, 8 * (FRAME_LEN - mode.ciphered.stop)) for mode in CipherMode}
+
+
 @dataclass(frozen=True)
 class CommandFrame:
     """A validated 32-byte plaintext command."""
@@ -120,7 +126,7 @@ def validate_frame(data: bytes) -> bool:
     return data[:5] == HEADER
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class WireFrame:
     """The on-air unit: ciphered payload plus the key address in clear.
 
@@ -151,13 +157,15 @@ def parse_wire(data: bytes) -> WireFrame:
 
 def _apply_pad(data: bytes, key: bytes, mode: CipherMode) -> bytes:
     """XOR the mode's ciphered region of ``data`` with ``key``; the rest stays clear."""
-    if len(key) != mode.key_length:
+    key_length, shift = _PAD[mode]
+    if len(key) != key_length:
         raise KeyLengthMismatch(
-            f"{mode.value} mode needs a {mode.key_length}-byte key, got {len(key)}"
+            f"{mode.value} mode needs a {key_length}-byte key, got {len(key)}"
         )
-    region = mode.ciphered
-    pad = int.from_bytes(data[region], "big") ^ int.from_bytes(key, "big")
-    return data[:region.start] + pad.to_bytes(len(key), "big") + data[region.stop:]
+    if len(data) != FRAME_LEN:
+        raise BadLength(f"a padded payload is {FRAME_LEN} bytes, got {len(data)}")
+    pad = int.from_bytes(data, "big") ^ (int.from_bytes(key, "big") << shift)
+    return pad.to_bytes(FRAME_LEN, "big")
 
 
 def otp_encrypt(frame: CommandFrame, key: bytes, addr: int,

@@ -43,7 +43,7 @@ class DiscardReason(enum.Enum):
     ADDRESS_JUMP = "address_jump"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RxOutcome:
     """Result of processing one received frame."""
 
@@ -57,11 +57,11 @@ class RxOutcome:
 
     @classmethod
     def accept(cls, frame: CommandFrame, name: str | None = None) -> "RxOutcome":
-        return cls(frame=frame, name=name)
+        return cls(frame, name)
 
     @classmethod
     def discard(cls, reason: DiscardReason) -> "RxOutcome":
-        return cls(reason=reason)
+        return cls(None, None, reason)
 
 
 class Controller:

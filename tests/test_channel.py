@@ -118,6 +118,26 @@ def test_tap_holds_only_wire_frames(length):
     assert log.records == [good]
 
 
+@pytest.mark.parametrize("bad, message", [
+    (Intercept(2 ** 63, _wire(1)), f"^seq {2 ** 63} is outside {-2 ** 63}..{2 ** 63 - 1}$"),
+    (Intercept(-2 ** 63 - 1, _wire(1)), f"^seq {-2 ** 63 - 1} is outside"),
+    (Intercept(1, _wire(1), "delivered"), "^unknown outcome 'delivered'$"),
+    (Intercept(1, _wire(1), 1), "^unknown outcome 1$"),
+], ids=["seq-over-int64", "seq-under-int64", "outcome-string", "outcome-code"])
+def test_tap_append_refuses_a_bad_record(bad, message):
+    with pytest.raises(ValueError, match=message):
+        InterceptLog([bad])
+    log = InterceptLog()
+    with pytest.raises(ValueError, match=message):
+        log.append(bad)
+    assert log == InterceptLog() and len(log) == 0
+    good = Intercept(0, _wire(0), Delivery.DELIVERED)
+    log.append(good)
+    with pytest.raises(ValueError, match=message):
+        log.append(bad)
+    assert log == InterceptLog([good]) and log.records == [good]
+
+
 def test_rejected_append_leaves_the_log_exporting_its_frames(tmp_path):
     log = InterceptLog([Intercept(0, _wire(0), Delivery.DELIVERED)])
     with pytest.raises(ValueError, match="got 35"):

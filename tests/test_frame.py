@@ -167,6 +167,37 @@ def test_selective_mode_involution(channels, aux, trailer, key, addr):
     assert otp_decrypt(wire, key, CipherMode.SELECTIVE) == frame.data
 
 
+def _bytewise_pad(data: bytes, key: bytes, mode: CipherMode) -> bytes:
+    """An independent pad: XOR byte by byte over mode.ciphered, copy the rest."""
+    region = mode.ciphered
+    return (data[:region.start] + bytes(a ^ b for a, b in zip(data[region], key))
+            + data[region.stop:])
+
+
+@pytest.mark.parametrize("mode", list(CipherMode))
+@given(body=st.binary(min_size=27, max_size=27), data=st.binary(min_size=32, max_size=32),
+       key=st.binary(min_size=32, max_size=32), addr=st.integers(0, 2**32 - 1))
+@settings(max_examples=200)
+def test_pad_matches_a_bytewise_xor(mode, body, data, key, addr):
+    key = key[:mode.key_length]
+    frame = CommandFrame(HEADER + body)
+    wire = otp_encrypt(frame, key, addr, mode)
+    assert wire.payload == _bytewise_pad(frame.data, key, mode)
+    assert otp_decrypt(wire, key, mode) == frame.data
+    # A payload off the air is any 32 bytes, header or not.
+    assert otp_decrypt(WireFrame(addr, data), key, mode) == _bytewise_pad(data, key, mode)
+
+
+@pytest.mark.parametrize("mode", list(CipherMode))
+@pytest.mark.parametrize("length", [31, 33])
+def test_pad_refuses_a_payload_reassigned_to_another_length(mode, length):
+    key = bytes(mode.key_length)
+    wire = otp_encrypt(CommandFrame(CONNECTION), key, 0, mode)
+    wire.payload = bytes(length)
+    with pytest.raises(BadLength, match=f"got {length}$"):
+        otp_decrypt(wire, key, mode)
+
+
 def test_parse_wire_address_is_last():
     data = bytes(32) + bytes([0, 0, 0, 5])
     wire = parse_wire(data)

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from otp_remctl.channel import Channel, ChannelConfig, Delivery, TamperModel
+from otp_remctl.channel import Channel, ChannelConfig, Delivery, TamperModel, Transmission
 from otp_remctl.entropy import SeededSource
 from otp_remctl.errors import BadLength, KeyExhausted, KeyReused, OutOfRange
 from otp_remctl.frame import (
@@ -13,6 +13,7 @@ from otp_remctl.frame import (
     MAX_ADDRESS,
     CipherMode,
     CommandFrame,
+    WireFrame,
     otp_decrypt,
     otp_encrypt,
     parse_wire,
@@ -155,6 +156,20 @@ def test_selective_mode_roundtrip_and_tamper():
     wire = bytearray(ctrl.send(FORWARD).to_bytes())
     wire[30] ^= 0x01  # clear trailer byte: registry match fails
     assert clee.receive(bytes(wire)).reason is DiscardReason.VALIDATION_FAILED
+
+
+@pytest.mark.parametrize("make", [
+    lambda: WireFrame(7, bytes(32)),
+    lambda: Transmission(Delivery.TAMPERED, bytes(36)),
+    lambda: RxOutcome.accept(standard_registry().lookup("Forward"), "Forward"),
+    lambda: RxOutcome.discard(DiscardReason.REPLAY_OR_STALE),
+], ids=["wire", "transmission", "accepted", "discarded"])
+def test_per_frame_records_are_slotted_values(make):
+    a, b = make(), make()
+    assert a == b and a is not b and repr(a) == repr(b)
+    assert not hasattr(a, "__dict__")
+    with pytest.raises(TypeError):
+        hash(a)
 
 
 def test_store_without_cipher_mode_is_rejected():
