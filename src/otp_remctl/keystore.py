@@ -8,7 +8,8 @@ ledgers can only ever move forward.
 On-disk format (all integers big-endian):
 
     magic "SKS1" | version u16 | block_size u16 | block_count u32 |
-    consumed bitmap (ceil(block_count/8) bytes, bit i = block i, MSB-first) |
+    consumed bitmap (ceil(block_count/8) bytes, bit i = block i, MSB-first,
+                     padding bits past the last block zero) |
     key material (block_count * block_size bytes) |
     CRC-32 (IEEE) over all preceding bytes, u32
 """
@@ -176,6 +177,10 @@ class SksStore:
                 f"{path}: CRC {actual_crc:#010x} != stored {stored_crc:#010x}"
             )
         bitmap = np.frombuffer(data, np.uint8, bitmap_len, _HEADER.size)
+        if block_count % 8 and bitmap[-1] & (0xFF >> block_count % 8):
+            # save writes zeros there; a set bit would be dropped on load.
+            raise SksFormatError(f"{path}: consumed bitmap has a bit set past "
+                                 f"block {block_count - 1}")
         consumed = np.unpackbits(bitmap, count=block_count)
         material = data[_HEADER.size + bitmap_len:total - _CRC.size]
         return cls(block_size, block_count, material, consumed)

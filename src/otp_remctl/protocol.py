@@ -175,6 +175,10 @@ _TX_SENT, _TX_EXHAUSTED = _KIND["tx", "sent"], _KIND["tx", "exhausted"]
 _CH = {d: _KIND["ch", d.value] for d in Delivery}
 _RX_ACCEPTED = _KIND["rx", "accepted"]
 _RX_DISCARDED = {r: _KIND["rx", f"discarded:{r.value}"] for r in DiscardReason}
+# Flags on a record's kind byte, above its kind code: the record starts a
+# group, and its data repeats the previous record's (no bytes stored).
+_STARTS, _REPEATS = 0x40, 0x80
+_CODE = _STARTS - 1
 
 
 def _checked_kind(seq: int, direction: str, address: int | None, event: str) -> int:
@@ -194,24 +198,31 @@ def _checked_kind(seq: int, direction: str, address: int | None, event: str) -> 
 class SessionLog:
     """Ordered record of every send, channel event and receive outcome.
 
-    The log is columnar: one bytearray of record data, plus array columns
-    for each record's seq, address (-1 for none), kind (its index in the
-    fixed table of (direction, event) pairs) and the offset and length of
-    its data.  ``append`` and ``load`` refuse any pair outside that table.
-    A record whose data equals the previous record's stores no new bytes,
-    so a channel record repeats its tx record's bytes unless the frame was
-    tampered with.  SessionRecords are built only when the log is read:
-    ``records`` is a new list on each access.
+    The log is grouped and columnar.  A maximal run of consecutive records
+    with the same seq and address is one group: one row in the int64
+    ``_seq`` and ``_address`` columns (-1 for no address).  Each record
+    keeps one kind byte: its index in the fixed table of (direction,
+    event) pairs, plus a flag when it starts a group and one when its data
+    repeats the previous record's.  Data that does not repeat is appended
+    to one bytearray and its length to an int64 column; a repeat stores
+    nothing, and offsets are running sums of the lengths.  So a command's
+    tx, ch and rx records share one group row, and its frame is stored
+    once: the ch record repeats the tx record's bytes unless the frame was
+    tampered with, and a discarding rx record repeats the ch record's.
+    Both writers, ``_add`` (one record) and ``_command`` (one command),
+    keep this layout canonical, so equal logs have equal columns.
+    ``append`` and ``load`` refuse any pair outside the table.
+    SessionRecords are built only when the log is read: ``records`` is a
+    new list on each access.
     """
 
     def __init__(self, records=None) -> None:
         self._seq = array("q")
         self._address = array("q")
         self._kind = array("B")
-        self._offset = array("q")
         self._length = array("q")
         self._data = bytearray()
-        self._last = None
+        self._last = None  # the previous record's data
         for record in records or ():
             self.append(record)
 
@@ -221,26 +232,74 @@ class SessionLog:
         self._add(seq, kind, address, record.data)
 
     def _add(self, seq: int, kind: int, address: int | None, data: bytes) -> None:
-        self._seq.append(seq)
-        self._address.append(-1 if address is None else address)
-        self._kind.append(kind)
-        if data != self._last:
-            self._offset.append(len(self._data))
-            self._data += data
-            self._last = bytes(data)  # a copy if the caller's data can change
+        """Append one checked record, opening a group when its seq or address differs."""
+        if data == self._last:
+            kind |= _REPEATS
         else:
-            self._offset.append(self._offset[-1])
-        self._length.append(len(data))
+            self._data += data
+            self._length.append(len(data))
+            self._last = bytes(data)  # a copy if the caller's data can change
+        address = -1 if address is None else address
+        if not self._seq or seq != self._seq[-1] or address != self._address[-1]:
+            self._seq.append(seq)
+            self._address.append(address)
+            kind |= _STARTS
+        self._kind.append(kind)
+
+    def _command(self, seq: int, address: int, wire: bytes, ch: int, data,
+                 rx: int | None = None, plain: bytes | None = None) -> None:
+        """Append one sent command's records as a new group, laid out as ``_add`` would.
+
+        The records are tx ``sent`` with ``wire``; the ``ch`` kind with
+        ``data``, or with ``wire`` when ``data`` is None (a dropped frame);
+        and, unless ``rx`` is None, the ``rx`` kind with the accepted
+        ``plain`` text, or with the received ``data`` when ``plain`` is None.
+        ``seq`` must differ from the last group's, as each command's does.
+        """
+        stored, lengths, kinds = self._data, self._length, self._kind
+        self._seq.append(seq)
+        self._address.append(address)
+        if wire == self._last:
+            kinds.append(_TX_SENT | _STARTS | _REPEATS)
+        else:
+            stored += wire
+            lengths.append(len(wire))
+            kinds.append(_TX_SENT | _STARTS)
+        if data is None or data == wire:
+            kinds.append(ch | _REPEATS)
+            data = wire
+        else:
+            stored += data
+            lengths.append(len(data))
+            kinds.append(ch)
+            data = bytes(data)  # a copy if the channel's data can change
+        if rx is None:
+            self._last = data
+        elif plain is None or plain == data:
+            kinds.append(rx | _REPEATS)
+            self._last = data
+        else:
+            stored += plain
+            lengths.append(len(plain))
+            kinds.append(rx)
+            self._last = plain  # a registry frame's bytes are hashable, so they stay put
 
     def _rows(self, kinds=None):
         """SessionRecords in log order, only those of ``kinds`` when given."""
         data = bytes(self._data)
-        for seq, kind, address, offset, length in zip(
-                self._seq, self._kind, self._address, self._offset, self._length):
+        groups, lengths = zip(self._seq, self._address), iter(self._length)
+        end = 0
+        for kind in self._kind:
+            if kind & _STARTS:
+                seq, address = next(groups)
+                address = None if address < 0 else address
+            if not kind & _REPEATS:
+                start, end = end, end + next(lengths)
+                chunk = data[start:end]
+            kind &= _CODE
             if kinds is None or kind in kinds:
                 direction, event = _KINDS[kind]
-                yield SessionRecord(seq, direction, None if address < 0 else address,
-                                    event, data[offset:offset + length])
+                yield SessionRecord(seq, direction, address, event, chunk)
 
     @property
     def records(self) -> list[SessionRecord]:
@@ -253,18 +312,25 @@ class SessionLog:
 
     def save(self, path) -> None:
         lines = []
+        groups, lengths = zip(self._seq, self._address), iter(self._length)
+        end = 0
         with memoryview(self._data) as data:
-            for seq, kind, address, offset, length in zip(
-                    self._seq, self._kind, self._address, self._offset, self._length):
-                direction, event = _KINDS[kind]
-                addr = "" if address < 0 else address
-                lines.append(f"{seq},{direction},{addr},{event},"
-                             f"{data[offset:offset + length].hex()}")
+            for kind in self._kind:
+                if kind & _STARTS:
+                    seq, address = next(groups)
+                    addr = "" if address < 0 else address
+                if not kind & _REPEATS:
+                    start, end = end, end + next(lengths)
+                    hexdata = data[start:end].hex()
+                direction, event = _KINDS[kind & _CODE]
+                lines.append(f"{seq},{direction},{addr},{event},{hexdata}")
         text = "\n".join(lines)
         Path(path).write_text(text + "\n" if text else "")
 
     @classmethod
     def load(cls, path) -> "SessionLog":
+        """Read a saved log; ValueError naming ``path:line`` for any line ``save``
+        would not write back as it is."""
         log = cls()
         for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
             if not line.strip():
@@ -278,24 +344,27 @@ class SessionLog:
                 kind = _checked_kind(seq, direction, address, event)
             except ValueError as e:
                 raise ValueError(f"{path}:{lineno}: {e}") from None
+            canonical = (f"{seq},{direction},{'' if address is None else address},"
+                         f"{event},{data.hex()}")
+            if line != canonical:
+                raise ValueError(f"{path}:{lineno}: not in the form save writes: {canonical!r}")
             log._add(seq, kind, address, data)
         return log
 
     def __len__(self) -> int:
-        return len(self._seq)
+        return len(self._kind)
 
     def __iter__(self):
         return self._rows()
 
     def __eq__(self, other) -> bool:
-        # Equal record sequences are laid out identically.
+        # Both writers lay equal record sequences out identically.
         if not isinstance(other, SessionLog):
             return NotImplemented
         return self._columns() == other._columns()
 
     def _columns(self) -> tuple:
-        return (self._seq, self._address, self._kind, self._offset, self._length,
-                self._data)
+        return self._seq, self._address, self._kind, self._length, self._data
 
 
 def run_session(controller: Controller, controlee: Controlee, script,
@@ -307,25 +376,22 @@ def run_session(controller: Controller, controlee: Controlee, script,
     the session and is logged.
     """
     log = SessionLog()
-    add = log._add
+    command = log._command
     for seq, cmd in enumerate(script):
         try:
             wire = controller.send(cmd)
         except KeyExhausted:
-            add(seq, _TX_EXHAUSTED, None, b"")
+            log._add(seq, _TX_EXHAUSTED, None, b"")
             break
         wire_bytes = wire.to_bytes()
-        addr = wire.address
-        add(seq, _TX_SENT, addr, wire_bytes)
         tx = channel.transmit(wire_bytes)
-        # A dropped frame (no data out of the link) is logged as it was sent.
-        data = wire_bytes if tx.data is None else tx.data
-        add(seq, _CH[tx.outcome], addr, data)
-        if tx.data is None:
+        addr, ch, data = wire.address, _CH[tx.outcome], tx.data
+        if data is None:
+            command(seq, addr, wire_bytes, ch, None)
             continue
         outcome = controlee.receive(data)
         if outcome.accepted:
-            add(seq, _RX_ACCEPTED, addr, outcome.frame.data)
+            command(seq, addr, wire_bytes, ch, data, _RX_ACCEPTED, outcome.frame.data)
         else:
-            add(seq, _RX_DISCARDED[outcome.reason], addr, data)
+            command(seq, addr, wire_bytes, ch, data, _RX_DISCARDED[outcome.reason])
     return log

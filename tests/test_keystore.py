@@ -1,4 +1,5 @@
 import random
+import re
 import struct
 import tempfile
 import zlib
@@ -180,7 +181,9 @@ def test_ledger_codec_matches_reference(tmp_path, blocks, pattern):
     assert loaded == store
 
 
-def test_load_ignores_bitmap_padding_bits(tmp_path, make_pair):
+@pytest.mark.parametrize("bit", [None, *range(10, 16)],
+                         ids=lambda bit: "clean" if bit is None else f"bit{bit}")
+def test_load_refuses_set_bitmap_padding_bits(tmp_path, make_pair, bit):
     s, _ = make_pair(blocks=10)
     s.take_block(1)
     s.take_block(9)
@@ -188,13 +191,17 @@ def test_load_ignores_bitmap_padding_bits(tmp_path, make_pair):
     s.save(p)
     raw = bytearray(p.read_bytes())
     assert raw[13] == 0b01000000
-    raw[13] |= 0b00111111  # bits 10..15 name no block
+    if bit is None:  # the control: padding clear, as save writes it
+        loaded = SksStore.load(p)
+        assert loaded == s and loaded.consumed_count == 2
+        loaded.save(p)
+        assert p.read_bytes() == raw
+        return
+    raw[13] |= 0x80 >> (bit - 8)  # bits 10..15 name no block
     raw[-4:] = struct.pack(">I", zlib.crc32(raw[:-4]))
     p.write_bytes(bytes(raw))
-    loaded = SksStore.load(p)
-    assert loaded == s
-    assert loaded.consumed_count == 2
-    assert loaded.consumed_bitmap() == bytes([0b01000000, 0b01000000])
+    with pytest.raises(SksFormatError, match=rf"^{re.escape(str(p))}: .* past block 9$"):
+        SksStore.load(p)
 
 
 def test_material_length_must_match():
