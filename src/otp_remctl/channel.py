@@ -200,34 +200,45 @@ def load_intercepts(path) -> InterceptLog:
     return log
 
 
+def _lines(path) -> list[str]:
+    """A file's lines, each byte read as one latin-1 character and split only
+    on "\n", so a "\r" or a byte that is not ASCII is left for the caller's
+    exact check; ValueError naming ``path:line`` unless it ends in a newline."""
+    lines = Path(path).read_bytes().decode("latin-1").split("\n")
+    if lines.pop():
+        raise ValueError(f"{path}:{len(lines) + 1}: no newline at the end of the file")
+    return lines
+
+
 def _read_sidecar(sidecar: Path, count: int) -> tuple[array, array]:
-    """The seq and outcome-code columns of a sidecar with one line per frame."""
+    """The seq and outcome-code columns of a sidecar with one line per frame,
+    each exactly as export_intercepts writes it."""
+    lines = _lines(sidecar)
+    if len(lines) > count:
+        raise ValueError(f"{sidecar}:{count + 1}: more lines than the {count} frames")
     seqs, codes = array("q"), array("B")
-    lineno = 0
-    for lineno, line in enumerate(sidecar.read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        k = len(codes)
-        if k == count:
-            raise ValueError(f"{sidecar}:{lineno}: more lines than the {count} frames")
+    for k, line in enumerate(lines):
         try:
             seq_s, offset_s, outcome_s = line.split(",")
-            seq, offset = int(seq_s), int(offset_s)
+            seq = int(seq_s)
         except ValueError:
-            raise ValueError(f"{sidecar}:{lineno}: expected 'seq,offset,outcome'") from None
-        if offset != k * WIRE_LEN:
+            raise ValueError(f"{sidecar}:{k + 1}: expected 'seq,offset,outcome'") from None
+        if seq_s != str(seq):
+            raise ValueError(f"{sidecar}:{k + 1}: seq {seq_s!r} is not in the form "
+                             f"export_intercepts writes: '{seq}'")
+        if offset_s != str(k * WIRE_LEN):
             raise ValueError(
-                f"{sidecar}:{lineno}: offset {offset}, frame {k} is at {k * WIRE_LEN}")
+                f"{sidecar}:{k + 1}: offset {offset_s}, frame {k} is at {k * WIRE_LEN}")
         code = _FIELD_CODE.get(outcome_s)
         if code is None:
-            raise ValueError(f"{sidecar}:{lineno}: unknown outcome {outcome_s!r}")
+            raise ValueError(f"{sidecar}:{k + 1}: unknown outcome {outcome_s!r}")
         try:
             seqs.append(seq)
         except OverflowError:
-            raise ValueError(f"{sidecar}:{lineno}: seq {seq} does not fit in 64 bits") from None
+            raise ValueError(f"{sidecar}:{k + 1}: seq {seq} does not fit in 64 bits") from None
         codes.append(code)
-    if len(codes) != count:
-        raise ValueError(f"{sidecar}:{lineno + 1}: no line for frame {len(codes)} "
+    if len(lines) < count:
+        raise ValueError(f"{sidecar}:{len(lines) + 1}: no line for frame {len(lines)} "
                          f"of {count}")
     return seqs, codes
 

@@ -20,7 +20,7 @@ from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
-from .channel import Delivery
+from .channel import Delivery, _lines
 from .errors import BadLength, KeyExhausted, KeyReused, OutOfRange
 from .frame import (
     MAX_ADDRESS,
@@ -40,7 +40,6 @@ class DiscardReason(enum.Enum):
     REPLAY_OR_STALE = "replay_or_stale"
     KEY_EXHAUSTED = "key_exhausted"
     VALIDATION_FAILED = "validation_failed"
-    ADDRESS_JUMP = "address_jump"
 
 
 @dataclass(slots=True)
@@ -87,16 +86,12 @@ class Controlee:
     """Receiver side: decrypt, verify, and track the session state.
 
     Hostile input is allowed; every failure maps to a Discarded outcome
-    and no error escapes.  ``max_address_jump`` caps how far ahead of
-    next_expected a frame may point before it is rejected outright
-    (without burning the skipped blocks); by default there is no cap.
+    and no error escapes.
     """
 
-    def __init__(self, store: SksStore, registry: CommandRegistry | None = None,
-                 max_address_jump: int | None = None) -> None:
+    def __init__(self, store: SksStore, registry: CommandRegistry | None = None) -> None:
         self.store = store
         self.registry = registry if registry is not None else standard_registry()
-        self.max_address_jump = max_address_jump
         self.accepted = 0
         self.discarded = 0
 
@@ -111,13 +106,9 @@ class Controlee:
         except BadLength:
             return self._discard(DiscardReason.BAD_LENGTH)
         addr = wire.address
-        next_expected = self.store.next_expected
-        if addr < next_expected:
+        if addr < self.store.next_expected:
             # Already consumed (or burned): a replayed or stale frame.
             return self._discard(DiscardReason.REPLAY_OR_STALE)
-        if (self.max_address_jump is not None
-                and addr - next_expected > self.max_address_jump):
-            return self._discard(DiscardReason.ADDRESS_JUMP)
         self.store.discard_through(addr)
         try:
             key = self.store.take_block(addr)
@@ -136,7 +127,7 @@ class Controlee:
 
 @dataclass(frozen=True, slots=True)
 class SessionRecord:
-    """One line of the session log.
+    """One record of the session log.
 
     ``direction`` is tx (controller), ch (channel) or rx (controlee);
     ``data`` holds the wire bytes, except for accepted records which hold
@@ -149,20 +140,10 @@ class SessionRecord:
     event: str
     data: bytes
 
-    def line(self) -> str:
-        addr = "" if self.address is None else str(self.address)
-        return f"{self.seq},{self.direction},{addr},{self.event},{self.data.hex()}"
 
-    @classmethod
-    def from_line(cls, line: str) -> "SessionRecord":
-        return cls(*_fields(line))
-
-
-def _fields(line: str) -> tuple:
-    """(seq, direction, address, event, data) of one log line; ValueError if malformed."""
-    seq_s, direction, addr_s, event, hexdata = line.split(",")
-    return (int(seq_s), direction, int(addr_s) if addr_s else None,
-            event, bytes.fromhex(hexdata))
+def _line(seq: int, direction: str, addr, event: str, hexdata: str) -> str:
+    """A record as one line of a saved log; ``addr`` is "" for no address."""
+    return f"{seq},{direction},{addr},{event},{hexdata}"
 
 
 # Every (direction, event) pair the program logs; a record's kind code is
@@ -323,20 +304,20 @@ class SessionLog:
                     start, end = end, end + next(lengths)
                     hexdata = data[start:end].hex()
                 direction, event = _KINDS[kind & _CODE]
-                lines.append(f"{seq},{direction},{addr},{event},{hexdata}")
+                lines.append(_line(seq, direction, addr, event, hexdata))
         text = "\n".join(lines)
         Path(path).write_text(text + "\n" if text else "")
 
     @classmethod
     def load(cls, path) -> "SessionLog":
-        """Read a saved log; ValueError naming ``path:line`` for any line ``save``
-        would not write back as it is."""
+        """Read a saved log; ValueError naming ``path:line`` unless ``save``
+        would write the file back byte for byte."""
         log = cls()
-        for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-            if not line.strip():
-                continue
+        for lineno, line in enumerate(_lines(path), start=1):
             try:
-                seq, direction, address, event, data = _fields(line)
+                seq_s, direction, addr_s, event, hexdata = line.split(",")
+                seq, data = int(seq_s), bytes.fromhex(hexdata)
+                address = int(addr_s) if addr_s else None
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: expected "
                                  "'seq,direction,address,event,hexdata'") from None
@@ -344,8 +325,8 @@ class SessionLog:
                 kind = _checked_kind(seq, direction, address, event)
             except ValueError as e:
                 raise ValueError(f"{path}:{lineno}: {e}") from None
-            canonical = (f"{seq},{direction},{'' if address is None else address},"
-                         f"{event},{data.hex()}")
+            canonical = _line(seq, direction, "" if address is None else address,
+                              event, data.hex())
             if line != canonical:
                 raise ValueError(f"{path}:{lineno}: not in the form save writes: {canonical!r}")
             log._add(seq, kind, address, data)

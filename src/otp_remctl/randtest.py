@@ -23,8 +23,9 @@ import numpy as np
 
 from .errors import LagOutOfRange, TooShort
 
-# Smallest sequence the NIST-style tests accept.  Unit tests may lower this
-# to force the closed-form formulas on tiny hand-checked inputs.
+# Smallest sequence the NIST-style tests accept: SP 800-22 asks for 100
+# bits, below which the normal approximations behind the P-values are poor.
+# One unit test lowers it to check the runs statistic on a hand-worked input.
 MIN_TEST_BITS = 100
 
 DEFAULT_ALPHA = 0.01

@@ -189,12 +189,23 @@ def test_load_rejects_unknown_outcome(tmp_path):
     (2, "0,0,delivered\n1,36\n", ":2:"),
     (1, "x,0,delivered\n", ":1:"),
     (1, f"{2 ** 63},0,delivered\n", ":1:"),
+    (3, "0,0,delivered\n\n1,36,dropped\n", ":2:"),
+    (2, "\n0,0,delivered\n", ":1:"),
+    (1, "0,0,delivered\r\n", ":1:"),
+    (2, "0,0,delivered\n1,36,dropped", ":2:"),
+    (1, "0\xff,0,delivered\n", ":1:"),
+    (1, "+0,0,delivered\n", ":1:"),
+    (2, "0,0,delivered\n1_0,36,dropped\n", ":2:"),
+    (1, " 0,0,delivered\n", ":1:"),
+    (2, "0,0,delivered\n1,00036,dropped\n", ":2:"),
 ], ids=["extra-line", "wrong-offset", "repeated-offset", "more-lines-than-frames",
-        "missing-line", "missing-field", "non-integer-seq", "seq-over-int64"])
+        "missing-line", "missing-field", "non-integer-seq", "seq-over-int64",
+        "blank-line", "leading-blank-line", "crlf", "no-final-newline", "non-ascii",
+        "plus-sign", "underscore", "leading-space", "zero-padded-offset"])
 def test_load_rejects_sidecar_that_contradicts_corpus(tmp_path, frames, sidecar, where):
     p = tmp_path / "corpus.bin"
     p.write_bytes(b"".join(_wire(i) for i in range(frames)))
-    (tmp_path / "corpus.bin.idx").write_text(sidecar)
+    (tmp_path / "corpus.bin.idx").write_bytes(sidecar.encode("latin-1"))
     with pytest.raises(ValueError, match=f"corpus.bin.idx{where}"):
         load_intercepts(p)
 
