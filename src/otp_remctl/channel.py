@@ -175,7 +175,8 @@ def export_intercepts(log: InterceptLog, path) -> None:
                         for k, (seq, code) in enumerate(zip(log._seq, log._outcome)))
     path = Path(path)
     path.write_bytes(log._frames)
-    Path(str(path) + ".idx").write_text(sidecar + "\n" if sidecar else "")
+    # bytes: text mode writes "\r\n" on Windows, which load_intercepts refuses
+    Path(str(path) + ".idx").write_bytes(f"{sidecar}\n".encode() if sidecar else b"")
 
 
 def load_intercepts(path) -> InterceptLog:

@@ -9,11 +9,16 @@ import os
 import random
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ExhaustedSource
 
 # Seeded streams are generated in fixed-size quanta so that the byte at a
 # given stream offset does not depend on how reads were split up.
 _CHUNK = 4096
+# Mersenne Twister words per numpy call while drawing chunks; bounds numpy's
+# 64-bit scratch array to 2 MiB however large the draw.
+_BATCH = 1 << 18
 
 MAX_SEED = 2**64 - 1
 
@@ -49,9 +54,18 @@ class SystemSource(EntropySource):
 class SeededSource(EntropySource):
     """Deterministic stream: equal seeds emit identical byte streams.
 
-    The stream is defined as the concatenation of successive 4096-byte
-    Mersenne Twister draws, so ``fill`` is a pure function of the seed and
-    the total number of bytes already drawn, whatever the read sizes.
+    The stream is defined as the concatenation of successive
+    ``random.Random(seed).randbytes(4096)`` draws, so ``fill`` is a pure
+    function of the seed and the total number of bytes already drawn,
+    whatever the read sizes.
+
+    One such draw is 1024 successive 32-bit Mersenne Twister outputs, each
+    laid out little-endian.  ``fill`` therefore draws every chunk it lacks
+    in one vectorised step: it copies the generator's state into numpy's
+    ``MT19937``, takes the words from there, and copies the state back, so
+    both the bytes and the generator's state afterwards are exactly those
+    of the successive ``randbytes`` calls.  Bytes drawn past ``n`` (less
+    than one chunk) are held for the next ``fill``.
     """
 
     kind = "seeded"
@@ -61,14 +75,30 @@ class SeededSource(EntropySource):
             raise ValueError(f"seed must fit in 64 bits, got {seed}")
         self.seed = seed
         self._rng = random.Random(seed)
-        self._buffer = bytearray()
+        self._buffer = b""
 
     def _draw(self, n: int) -> bytes:
-        while len(self._buffer) < n:
-            self._buffer += self._rng.randbytes(_CHUNK)
-        out = bytes(self._buffer[:n])
-        del self._buffer[:n]
-        return out
+        held = len(self._buffer)
+        if n <= held:
+            out, self._buffer = self._buffer[:n], self._buffer[n:]
+            return out
+        stream = np.empty(held + -(-(n - held) // _CHUNK) * _CHUNK, np.uint8)
+        stream[:held] = np.frombuffer(self._buffer, np.uint8)
+        self._next_words(stream[held:].view("<u4"))
+        self._buffer = stream[n:].tobytes()
+        return stream[:n].tobytes()
+
+    def _next_words(self, words: np.ndarray) -> None:
+        """Fill ``words`` with the generator's next outputs and advance it past them."""
+        version, internal, gauss = self._rng.getstate()
+        mt = np.random.MT19937(0)  # the seed is a placeholder: the state is set next
+        mt.state = {"bit_generator": "MT19937",
+                    "state": {"key": np.array(internal[:-1], np.uint32), "pos": internal[-1]}}
+        for start in range(0, len(words), _BATCH):
+            part = words[start:start + _BATCH]
+            part[:] = mt.random_raw(len(part))
+        state = mt.state["state"]
+        self._rng.setstate((version, (*state["key"].tolist(), state["pos"]), gauss))
 
 
 class FileSource(EntropySource):

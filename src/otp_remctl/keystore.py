@@ -3,7 +3,8 @@
 A store is charged once from an entropy source, in two byte-identical
 copies (one per party).  Each block is consumable exactly once, and blocks
 skipped during loss recovery are burned rather than queued, so the two
-ledgers can only ever move forward.
+ledgers can only ever move forward.  A ledger is therefore a consumed
+prefix, held as one integer: the index of the next unconsumed block.
 
 On-disk format (all integers big-endian):
 
@@ -12,13 +13,15 @@ On-disk format (all integers big-endian):
                      padding bits past the last block zero) |
     key material (block_count * block_size bytes) |
     CRC-32 (IEEE) over all preceding bytes, u32
+
+``save`` writes the prefix as that many one-bits, then zeros.  ``load``
+refuses a bitmap with a hole (an unconsumed block below a consumed one),
+which no writer makes, so load -> save gives back the same file.
 """
 
+import os
 import struct
 import zlib
-from pathlib import Path
-
-import numpy as np
 
 from .entropy import EntropySource
 from .errors import (
@@ -48,39 +51,41 @@ def _check_geometry(block_size: int, block_count: int) -> CipherMode:
     return mode
 
 
+def _prefix_bitmap(consumed: int, block_count: int) -> bytes:
+    """The file bitmap of a ledger whose first ``consumed`` blocks are burned."""
+    full, part = divmod(consumed, 8)
+    ones = b"\xff" * full + (bytes([0xFF00 >> part & 0xFF]) if part else b"")
+    return ones + bytes((block_count + 7) // 8 - len(ones))
+
+
+def _leading_ones(bitmap: bytes) -> int:
+    """How many set bits the MSB-first ``bitmap`` starts with."""
+    rest = bitmap.lstrip(b"\xff")
+    return 8 * (len(bitmap) - len(rest)) + (8 - (rest[0] ^ 0xFF).bit_length() if rest else 0)
+
+
 class SksStore:
     """Key material plus its consumption ledger.
 
     Single-writer; a loaded store that is never mutated may be read
-    concurrently.  The ledger only grows: a block index is marked consumed
-    at most once and never unmarked.
+    concurrently.  The ledger is the consumed prefix: the blocks below
+    ``next_expected`` are burned, the rest are fresh, and it only grows.
     """
 
     def __init__(self, block_size: int, block_count: int, key_material: bytes,
-                 consumed=None) -> None:
+                 consumed: int = 0) -> None:
         self.mode = _check_geometry(block_size, block_count)
         if len(key_material) != block_size * block_count:
             raise ValueError(
                 f"key material is {len(key_material)} bytes, "
                 f"expected {block_size * block_count}"
             )
+        if not 0 <= consumed <= block_count:
+            raise ValueError(f"consumed prefix {consumed} is outside 0..{block_count}")
         self.block_size = block_size
         self.block_count = block_count
         self._material = bytes(key_material)
-        if consumed is None:
-            consumed = bytes(block_count)
-        if len(consumed) != block_count:
-            raise ValueError("consumed ledger length must equal block_count")
-        if isinstance(consumed, bytes):  # numpy reads bytes as one scalar, not a sequence
-            consumed = memoryview(consumed)
-        self._consumed = bytearray(np.asarray(consumed, dtype=bool))
-        self._consumed_count = self._consumed.count(1)
-        self._next = 0
-        self._advance()
-
-    def _advance(self) -> None:
-        found = self._consumed.find(0, self._next)
-        self._next = self.block_count if found < 0 else found
+        self._next = consumed
 
     @property
     def key_material(self) -> bytes:
@@ -93,32 +98,23 @@ class SksStore:
 
     @property
     def consumed_count(self) -> int:
-        return self._consumed_count
+        return self._next
 
     @property
     def remaining(self) -> int:
-        return self.block_count - self._consumed_count
-
-    def is_consumed(self, addr: int) -> bool:
-        if not 0 <= addr < self.block_count:
-            raise OutOfRange(f"address {addr} not in store of {self.block_count} blocks")
-        return bool(self._consumed[addr])
+        return self.block_count - self._next
 
     def take_block(self, addr: int) -> bytes:
-        """Return and burn the block at ``addr``.
+        """Return the block at ``addr``, burning it and every block below it.
 
-        Raises OutOfRange past the end of the store and KeyReused on a
-        second take of the same address; the block's bytes are returned
-        exactly once, ever.
+        Raises OutOfRange past the end of the store and KeyReused below
+        next_expected; the block's bytes are returned exactly once, ever.
         """
         if not 0 <= addr < self.block_count:
             raise OutOfRange(f"address {addr} not in store of {self.block_count} blocks")
-        if self._consumed[addr]:
+        if addr < self._next:
             raise KeyReused(f"key block {addr} already consumed")
-        self._consumed[addr] = 1
-        self._consumed_count += 1
-        if addr == self._next:
-            self._advance()
+        self._next = addr + 1
         off = addr * self.block_size
         return self._material[off:off + self.block_size]
 
@@ -127,62 +123,66 @@ class SksStore:
 
         Idempotent: a no-op when ``addr`` is at or below next_expected.
         """
-        limit = min(addr, self.block_count)
-        if limit <= self._next:
-            return 0
-        burned = self._consumed.count(0, self._next, limit)
-        self._consumed[self._next:limit] = b"\x01" * (limit - self._next)
-        self._consumed_count += burned
-        self._advance()
+        burned = max(0, min(addr, self.block_count) - self._next)
+        self._next += burned
         return burned
 
     def consumed_bitmap(self) -> bytes:
         """Ledger packed one bit per block, MSB-first (the file encoding)."""
-        return np.packbits(np.frombuffer(self._consumed, np.uint8)).tobytes()
+        return _prefix_bitmap(self._next, self.block_count)
 
     def save(self, path) -> None:
         """Persist the store, ledger included, in the bit-exact file format."""
         head = _HEADER.pack(MAGIC, VERSION, self.block_size, self.block_count)
         head += self.consumed_bitmap()
-        crc = _CRC.pack(zlib.crc32(self._material, zlib.crc32(head)))
-        Path(path).write_bytes(b"".join((head, self._material, crc)))
+        crc = zlib.crc32(self._material, zlib.crc32(head))
+        with open(path, "wb") as fh:
+            fh.writelines((head, self._material, _CRC.pack(crc)))
 
     @classmethod
     def load(cls, path) -> "SksStore":
         """Load a store file; failure modes are distinct, never a wrong state."""
-        data = Path(path).read_bytes()
-        if len(data) < len(MAGIC):
-            raise TruncatedFile(f"{path}: {len(data)} bytes, too short for the magic")
-        if data[:4] != MAGIC:
-            raise BadMagic(f"{path}: bad magic {data[:4]!r}")
-        if len(data) < _HEADER.size:
-            raise TruncatedFile(f"{path}: header incomplete")
-        _, version, block_size, block_count = _HEADER.unpack_from(data)
-        if version != VERSION:
-            raise BadVersion(f"{path}: unsupported version {version}")
-        try:
-            _check_geometry(block_size, block_count)
-        except ValueError as exc:
-            raise SksFormatError(f"{path}: {exc}") from None
-        bitmap_len = (block_count + 7) // 8
-        total = _HEADER.size + bitmap_len + block_size * block_count + _CRC.size
-        if len(data) < total:
-            raise TruncatedFile(f"{path}: {len(data)} bytes, format needs {total}")
-        if len(data) > total:
-            raise SksFormatError(f"{path}: {len(data) - total} trailing bytes")
-        (stored_crc,) = _CRC.unpack_from(data, total - _CRC.size)
-        actual_crc = zlib.crc32(memoryview(data)[:total - _CRC.size])
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            head = fh.read(_HEADER.size)
+            if len(head) < len(MAGIC):
+                raise TruncatedFile(f"{path}: {len(head)} bytes, too short for the magic")
+            if head[:4] != MAGIC:
+                raise BadMagic(f"{path}: bad magic {head[:4]!r}")
+            if len(head) < _HEADER.size:
+                raise TruncatedFile(f"{path}: header incomplete")
+            _, version, block_size, block_count = _HEADER.unpack(head)
+            if version != VERSION:
+                raise BadVersion(f"{path}: unsupported version {version}")
+            try:
+                _check_geometry(block_size, block_count)
+            except ValueError as exc:
+                raise SksFormatError(f"{path}: {exc}") from None
+            bitmap_len = (block_count + 7) // 8
+            total = _HEADER.size + bitmap_len + block_size * block_count + _CRC.size
+            if size < total:
+                raise TruncatedFile(f"{path}: {size} bytes, format needs {total}")
+            if size > total:
+                raise SksFormatError(f"{path}: {size - total} trailing bytes")
+            bitmap = fh.read(bitmap_len)
+            material = fh.read(block_size * block_count)
+            stored = fh.read(_CRC.size)
+        if len(stored) < _CRC.size:  # the file shrank after fstat
+            raise TruncatedFile(f"{path}: file ends before its checksum")
+        (stored_crc,) = _CRC.unpack(stored)
+        actual_crc = zlib.crc32(material, zlib.crc32(bitmap, zlib.crc32(head)))
         if stored_crc != actual_crc:
             raise ChecksumMismatch(
                 f"{path}: CRC {actual_crc:#010x} != stored {stored_crc:#010x}"
             )
-        bitmap = np.frombuffer(data, np.uint8, bitmap_len, _HEADER.size)
         if block_count % 8 and bitmap[-1] & (0xFF >> block_count % 8):
             # save writes zeros there; a set bit would be dropped on load.
             raise SksFormatError(f"{path}: consumed bitmap has a bit set past "
                                  f"block {block_count - 1}")
-        consumed = np.unpackbits(bitmap, count=block_count)
-        material = data[_HEADER.size + bitmap_len:total - _CRC.size]
+        consumed = _leading_ones(bitmap)
+        if bitmap != _prefix_bitmap(consumed, block_count):
+            raise SksFormatError(f"{path}: consumed bitmap has a hole: block "
+                                 f"{consumed} is unconsumed below a consumed block")
         return cls(block_size, block_count, material, consumed)
 
     def __eq__(self, other) -> bool:
@@ -191,12 +191,11 @@ class SksStore:
         return (self.block_size == other.block_size
                 and self.block_count == other.block_count
                 and self._material == other._material
-                and self._consumed == other._consumed)
+                and self._next == other._next)
 
     def __repr__(self) -> str:
         return (f"SksStore(block_size={self.block_size}, "
-                f"block_count={self.block_count}, "
-                f"consumed={self._consumed_count})")
+                f"block_count={self.block_count}, consumed={self._next})")
 
 
 def charge(source: EntropySource, block_size: int, block_count: int):

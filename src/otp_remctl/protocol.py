@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .channel import Delivery, _lines
-from .errors import BadLength, KeyExhausted, KeyReused, OutOfRange
+from .errors import BadLength, KeyExhausted, OutOfRange
 from .frame import (
     MAX_ADDRESS,
     CommandFrame,
@@ -114,10 +114,6 @@ class Controlee:
             key = self.store.take_block(addr)
         except OutOfRange:
             return self._discard(DiscardReason.KEY_EXHAUSTED)
-        except KeyReused:
-            # Unreachable through this flow (consumed blocks sit below
-            # next_expected), but a shared store could get here.
-            return self._discard(DiscardReason.REPLAY_OR_STALE)
         name = self.registry.match(otp_decrypt(wire, key, self.store.mode))
         if name is None:
             return self._discard(DiscardReason.VALIDATION_FAILED)
@@ -306,7 +302,8 @@ class SessionLog:
                 direction, event = _KINDS[kind & _CODE]
                 lines.append(_line(seq, direction, addr, event, hexdata))
         text = "\n".join(lines)
-        Path(path).write_text(text + "\n" if text else "")
+        # bytes: text mode writes "\r\n" on Windows, which load refuses
+        Path(path).write_bytes(f"{text}\n".encode() if text else b"")
 
     @classmethod
     def load(cls, path) -> "SessionLog":

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -45,6 +47,41 @@ def test_fill_depends_only_on_total_drawn(sizes, seed):
     chunks = SeededSource(seed)
     joined = b"".join(chunks.fill(k) for k in sizes)
     assert joined == SeededSource(seed).fill(sum(sizes))
+
+
+class _ReferenceStream:
+    """The documented seeded stream, stdlib only: successive
+    ``random.Random(seed).randbytes(4096)`` draws, handed out in order."""
+
+    def __init__(self, seed: int) -> None:
+        self.rng = random.Random(seed)
+        self.held = b""
+
+    def fill(self, n: int) -> bytes:
+        chunks, have = [self.held], len(self.held)
+        while have < n:
+            chunks.append(self.rng.randbytes(4096))
+            have += 4096
+        data = b"".join(chunks)
+        out, self.held = data[:n], data[n:]
+        return out
+
+
+_MIB = 1 << 20  # 256 chunks: one numpy call's worth of words
+
+
+@pytest.mark.parametrize("sizes", [
+    [1, 4094, 1, 4096, 4097, 8191, 0, 4096],
+    [_MIB, _MIB + 1, _MIB - 2, 3, _MIB + 4096],
+    [3 * _MIB + 5, 2 * _MIB - 5],
+], ids=["chunk-edges", "batch-edges", "megabytes"])
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+def test_fill_matches_successive_randbytes(seed, sizes):
+    src, ref = SeededSource(seed), _ReferenceStream(seed)
+    for n in sizes:
+        assert src.fill(n) == ref.fill(n)
+        # the generator is left exactly where the successive draws leave it
+        assert src._rng.getstate() == ref.rng.getstate()
 
 
 def test_system_source_length_only():

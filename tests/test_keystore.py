@@ -63,6 +63,24 @@ def test_charge_rejects_address_space_overflow_before_drawing():
         charge(_NoDrawSource(), FULL_BLOCK_SIZE, MAX_ADDRESS + 2)
 
 
+class _DrawReached(Exception):
+    pass
+
+
+class _SentinelSource(EntropySource):
+    """A source that stops charge at its draw, so no key material is made."""
+
+    def _draw(self, n: int) -> bytes:
+        raise _DrawReached(n)
+
+
+def test_charge_accepts_exactly_the_whole_address_space():
+    # one block per address: the geometry check passes and charge goes on to draw
+    with pytest.raises(_DrawReached) as reached:
+        charge(_SentinelSource(), FULL_BLOCK_SIZE, MAX_ADDRESS + 1)
+    assert reached.value.args == (FULL_BLOCK_SIZE * (MAX_ADDRESS + 1),)
+
+
 def test_take_block_is_one_time(make_pair):
     s, _ = make_pair()
     s.take_block(0)
@@ -88,9 +106,11 @@ def test_take_advances_next_expected(make_pair):
     s.take_block(0)
     assert s.next_expected == 1
     s.take_block(2)
-    # 1 is still free, so it stays next
-    assert s.next_expected == 1
-    s.take_block(1)
+    # taking 2 burns 1 on the way: the ledger is a consumed prefix
+    assert s.next_expected == 3
+    assert s.consumed_count == 3
+    with pytest.raises(KeyReused):
+        s.take_block(1)
     assert s.next_expected == 3
 
 
@@ -127,16 +147,24 @@ def test_remaining(make_pair):
     bytearray([3, 255, 0, 1, 2, 0, 0, 128, 5]),
     [True, -1, None, 1, 300, 0.0, "", "x", 0.5],
 ], ids=["list", "tuple", "bytes", "bytearray", "objects"])
-def test_consumed_argument_is_read_by_truthiness(ledger):
-    s = SksStore(23, 9, bytes(9 * 23), ledger)
-    assert s.consumed_bitmap() == bytes([0b11011001, 0b10000000])
-    assert s.consumed_count == 6
-    assert s.next_expected == 2
+def test_consumed_argument_refuses_a_per_block_ledger(ledger):
+    with pytest.raises(TypeError):
+        SksStore(23, 9, bytes(9 * 23), ledger)
+
+
+@pytest.mark.parametrize("consumed", range(10))
+def test_consumed_argument_is_a_prefix_length(consumed):
+    s = SksStore(23, 9, bytes(9 * 23), consumed)
+    assert s.consumed_bitmap() == _reference_bitmap([1] * consumed + [0] * (9 - consumed))
+    assert s.consumed_count == s.next_expected == consumed
+    assert s.remaining == 9 - consumed
 
 
 def test_consumed_argument_length_must_match():
-    with pytest.raises(ValueError, match="length must equal block_count"):
-        SksStore(23, 4, bytes(4 * 23), b"\x01\x00\x01")
+    # the consumed prefix must fit in the store
+    for consumed in (-1, 5):
+        with pytest.raises(ValueError, match=rf"consumed prefix {consumed} is outside 0\.\.4"):
+            SksStore(23, 4, bytes(4 * 23), consumed)
 
 
 def _reference_bitmap(ledger) -> bytes:
@@ -162,11 +190,16 @@ def _reference_ledger(bitmap: bytes, block_count: int) -> bytearray:
 def test_ledger_codec_matches_reference(tmp_path, blocks, pattern):
     rng = random.Random(blocks)
     p_take = {"none": 0.0, "all": 1.0, "random": 0.5, "sparse": 0.1}[pattern]
-    ledger = bytearray(rng.random() < p_take for _ in range(blocks))
-    store = SksStore(23, blocks, bytes(blocks * 23))
+    taken = bytearray(rng.random() < p_take for _ in range(blocks))
+    material = rng.randbytes(blocks * 23)
+    store = SksStore(23, blocks, material)
     for i in range(blocks):
-        if ledger[i]:
-            store.take_block(i)
+        if taken[i]:
+            assert store.take_block(i) == material[23 * i:23 * (i + 1)]
+    # each take burns every block below it: the ledger is the prefix
+    # through the last block taken
+    last = taken.rfind(1)
+    ledger = bytearray([1] * (last + 1) + [0] * (blocks - last - 1))
     bitmap = _reference_bitmap(ledger)
     assert store.consumed_bitmap() == bitmap
     p = tmp_path / "s.sks"
@@ -175,7 +208,7 @@ def test_ledger_codec_matches_reference(tmp_path, blocks, pattern):
     decoded = _reference_ledger(bitmap, blocks)
     assert decoded == ledger
     loaded = SksStore.load(p)
-    assert [loaded.is_consumed(i) for i in range(blocks)] == [bool(c) for c in decoded]
+    assert _reference_ledger(loaded.consumed_bitmap(), blocks) == decoded
     assert loaded.consumed_count == sum(ledger)
     assert loaded.next_expected == store.next_expected
     assert loaded == store
@@ -190,10 +223,10 @@ def test_load_refuses_set_bitmap_padding_bits(tmp_path, make_pair, bit):
     p = tmp_path / "s.sks"
     s.save(p)
     raw = bytearray(p.read_bytes())
-    assert raw[13] == 0b01000000
+    assert raw[12:14] == bytes([0xFF, 0b11000000])
     if bit is None:  # the control: padding clear, as save writes it
         loaded = SksStore.load(p)
-        assert loaded == s and loaded.consumed_count == 2
+        assert loaded == s and loaded.consumed_count == 10
         loaded.save(p)
         assert p.read_bytes() == raw
         return
@@ -217,9 +250,11 @@ def test_save_load_roundtrip(tmp_path, make_pair):
     s.save(p)
     loaded = SksStore.load(p)
     assert loaded == s
-    assert loaded.is_consumed(0) and loaded.is_consumed(7)
-    assert not loaded.is_consumed(1)
-    assert loaded.next_expected == 1
+    assert loaded.next_expected == loaded.consumed_count == 8
+    for burned in (0, 1, 7):
+        with pytest.raises(KeyReused):
+            loaded.take_block(burned)
+    assert loaded.take_block(8) == s.key_material[8 * 32:9 * 32]
 
 
 def test_file_layout_is_bit_exact(tmp_path, make_pair):
@@ -232,8 +267,8 @@ def test_file_layout_is_bit_exact(tmp_path, make_pair):
     magic, version, block_size, block_count = struct.unpack(">4sHHI", raw[:12])
     assert magic == b"SKS1"
     assert (version, block_size, block_count) == (1, 32, 10)
-    # bitmap: blocks 0 and 2 set, MSB-first, padded to 2 bytes
-    assert raw[12:14] == bytes([0b10100000, 0])
+    # bitmap: blocks 0..2 set (taking 2 burned 1), MSB-first, padded to 2 bytes
+    assert raw[12:14] == bytes([0b11100000, 0])
     assert raw[14:334] == s.key_material
     assert raw[334:] == struct.pack(">I", zlib.crc32(raw[:334]))
     assert len(raw) == 338
@@ -261,13 +296,31 @@ def test_load_rejects_bad_version(tmp_path, make_pair):
         SksStore.load(p)
 
 
-@pytest.mark.parametrize("keep", [3, 11, 40])
+# 4 full blocks: header 12 + bitmap 1 + material 128 + CRC 4 bytes
+@pytest.mark.parametrize("keep", range(145))
 def test_load_rejects_truncation(tmp_path, make_pair, keep):
     s, _ = make_pair(blocks=4)
     p = tmp_path / "s.sks"
     s.save(p)
-    p.write_bytes(p.read_bytes()[:keep])
+    raw = p.read_bytes()
+    assert len(raw) == 145
+    p.write_bytes(raw[:keep])
     with pytest.raises(TruncatedFile):
+        SksStore.load(p)
+
+
+@pytest.mark.parametrize("bitmap, hole", [
+    ((0b10100000, 0), 1),
+    ((0b01000000, 0), 0),
+    ((0xFF, 0b01000000), 8),
+    ((0b11111101, 0b10000000), 6),
+])
+def test_load_refuses_a_bitmap_with_a_hole(tmp_path, bitmap, hole):
+    p = tmp_path / "s.sks"
+    body = struct.pack(">4sHHI", b"SKS1", 1, 32, 10) + bytes(bitmap) + bytes(320)
+    p.write_bytes(body + struct.pack(">I", zlib.crc32(body)))
+    with pytest.raises(SksFormatError, match=rf"^{re.escape(str(p))}: consumed bitmap has "
+                       rf"a hole: block {hole} is unconsumed below a consumed block$"):
         SksStore.load(p)
 
 
@@ -342,29 +395,29 @@ def test_roundtrip_over_random_op_sequences(seed, ops):
 
 
 @given(st.integers(0, 2**32 - 1), _OPS)
-@example(0, [("take", 5), ("discard", 8)])  # a hole above next_expected: 7 burned, next is 8
+@example(0, [("take", 5), ("discard", 8)])  # take 5 burns 0..5, discard 8 burns 6 and 7
 @settings(max_examples=60, deadline=None)
 def test_no_block_is_returned_twice(seed, ops):
     store, _ = charge(SeededSource(seed), FULL_BLOCK_SIZE, 24)
     seen = set()
     consumed_hwm = 0
-    model = set()  # the consumed block indices, kept apart from the store
+    model = 0  # the consumed prefix, kept apart from the store
     for op, i in ops:
         if op == "take":
             try:
                 store.take_block(i)
             except (KeyReused, OutOfRange):
-                assert i in model or i >= 24
+                assert i < model or i >= 24
                 continue
             assert i not in seen
             seen.add(i)
-            model.add(i)
+            model = i + 1
         else:
-            burned = set(range(min(i, 24))) - model
-            assert store.discard_through(i) == len(burned)
-            model |= burned
-        assert store.next_expected == min(set(range(25)) - model)
-        assert store.consumed_count == len(model)
+            burned = max(0, min(i, 24) - model)
+            assert store.discard_through(i) == burned
+            model += burned
+        assert store.next_expected == model
+        assert store.consumed_count == model
         # the ledger only grows
         assert store.consumed_count >= consumed_hwm
         consumed_hwm = store.consumed_count
@@ -375,4 +428,4 @@ def test_store_addresses_are_plain_ints(make_pair):
     assert type(s.next_expected) is int
     s.take_block(0)
     assert s.discard_through(2) == 1
-    assert s.is_consumed(1) and s.next_expected == 2
+    assert s.consumed_count == 2 and s.next_expected == 2

@@ -74,7 +74,8 @@ def test_loss_burns_skipped_blocks():
     assert clee.receive(w0).accepted
     assert clee.receive(w2).accepted
     # block 1 is burned, never usable again
-    assert clee.store.is_consumed(1)
+    with pytest.raises(KeyReused):
+        clee.store.take_block(1)
     assert clee.store.consumed_count == 3
     assert clee.accepted == 2 and clee.discarded == 0
 
@@ -86,7 +87,7 @@ def test_plaintext_frame_is_discarded():
     assert not out.accepted
     assert out.reason is DiscardReason.VALIDATION_FAILED
     # the probed block is burned
-    assert clee.store.is_consumed(0)
+    assert clee.store.next_expected == 1
 
 
 def test_replay_of_accepted_frame():
@@ -130,7 +131,7 @@ def test_tampered_ciphered_byte_burns_and_discards():
     wire[12] ^= 0x40
     out = clee.receive(bytes(wire))
     assert out.reason is DiscardReason.VALIDATION_FAILED
-    assert clee.store.is_consumed(0)
+    assert clee.store.next_expected == 1
     # the true frame replayed afterwards cannot be recovered
     assert clee.receive(ctrl.send(CONNECTION).to_bytes()).accepted
 
@@ -403,6 +404,7 @@ def test_session_log_event_filter():
     ("0,tx,-1,sent,00", f"address -1 is outside 0..{MAX_ADDRESS}"),
     ("0,tx,4294967296,sent,00", f"address 4294967296 is outside 0..{MAX_ADDRESS}"),
     ("-1,tx,0,sent,00", f"seq -1 is outside 0..{2 ** 63 - 1}"),
+    (f"{2 ** 63},tx,0,sent,00", f"seq {2 ** 63} is outside 0..{2 ** 63 - 1}"),
 ])
 def test_session_log_rejects_values_outside_its_columns(tmp_path, line, error):
     p = tmp_path / "s.log"
