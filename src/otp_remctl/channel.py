@@ -68,6 +68,10 @@ _FIELDS = tuple("" if d is None else d.value for d in _BY_CODE)
 _FIELD_CODE = {field: code for code, field in enumerate(_FIELDS)}
 
 
+def _width_error(frame) -> ValueError:
+    return ValueError(f"a tap frame is {WIRE_LEN} bytes, got {len(frame)}")
+
+
 class InterceptLog:
     """Everything seen on the air, in transmission order.
 
@@ -93,14 +97,12 @@ class InterceptLog:
             raise ValueError(f"seq {seq} is outside {-2 ** 63}..{2 ** 63 - 1}")
         if outcome is not None and not isinstance(outcome, Delivery):
             raise ValueError(f"unknown outcome {outcome!r}")
-        self._add(seq, bytes(record.frame), _CODE[outcome])
-
-    def _add(self, seq: int, frame: bytes, code: int) -> None:
+        frame = bytes(record.frame)
         if len(frame) != WIRE_LEN:
-            raise ValueError(f"a tap frame is {WIRE_LEN} bytes, got {len(frame)}")
+            raise _width_error(frame)
         self._seq.append(seq)
         self._frames += frame
-        self._outcome.append(code)
+        self._outcome.append(_CODE[outcome])
 
     @property
     def records(self) -> list[Intercept]:
@@ -142,15 +144,20 @@ class Channel:
         with that outcome.  A frame that is not 36 bytes raises ValueError
         before the link draws anything.
         """
-        tap = self.intercepts
-        tap._add(len(tap), wire, 0)  # checks the width; the outcome is set below
-        if self._rng.random() < self.config.loss_prob:
+        if len(wire) != WIRE_LEN:
+            raise _width_error(wire)
+        rng, config = self._rng, self.config
+        if rng.random() < config.loss_prob:
             code, data = _DROPPED, None
-        elif self._rng.random() < self.config.tamper_prob:
+        elif rng.random() < config.tamper_prob:
             code, data = _TAMPERED, self._tamper(wire)
         else:
             code, data = _DELIVERED, bytes(wire)
-        tap._outcome[-1] = code
+        tap = self.intercepts
+        tap._frames += wire
+        seqs = tap._seq
+        seqs.append(len(seqs))
+        tap._outcome.append(code)
         return Transmission(_BY_CODE[code], data)
 
     def _tamper(self, wire: bytes) -> bytes:
@@ -201,11 +208,12 @@ def load_intercepts(path) -> InterceptLog:
     return log
 
 
-def _lines(path) -> list[str]:
-    """A file's lines, each byte read as one latin-1 character and split only
-    on "\n", so a "\r" or a byte that is not ASCII is left for the caller's
-    exact check; ValueError naming ``path:line`` unless it ends in a newline."""
-    lines = Path(path).read_bytes().decode("latin-1").split("\n")
+def _lines(path, raw: bytes) -> list[str]:
+    """The lines of ``raw``, read from ``path``, each byte read as one latin-1
+    character and split only on "\n", so a "\r" or a byte that is not ASCII
+    is left for the caller's exact check; ValueError naming ``path:line``
+    unless it ends in a newline."""
+    lines = raw.decode("latin-1").split("\n")
     if lines.pop():
         raise ValueError(f"{path}:{len(lines) + 1}: no newline at the end of the file")
     return lines
@@ -214,7 +222,7 @@ def _lines(path) -> list[str]:
 def _read_sidecar(sidecar: Path, count: int) -> tuple[array, array]:
     """The seq and outcome-code columns of a sidecar with one line per frame,
     each exactly as export_intercepts writes it."""
-    lines = _lines(sidecar)
+    lines = _lines(sidecar, sidecar.read_bytes())
     if len(lines) > count:
         raise ValueError(f"{sidecar}:{count + 1}: more lines than the {count} frames")
     seqs, codes = array("q"), array("B")

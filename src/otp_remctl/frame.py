@@ -63,10 +63,15 @@ class CipherMode(enum.Enum):
         raise ValueError(f"no cipher mode uses {block_size}-byte key blocks")
 
 
-# Each mode's (key length, shift): its key, shifted left by the count of
-# clear bits after its ciphered region, lines up with that region of the
-# payload read as one big-endian int, and has zeros over the clear bytes.
-_PAD = {mode: (mode.key_length, 8 * (FRAME_LEN - mode.ciphered.stop)) for mode in CipherMode}
+# Each mode carries its pad geometry as a plain attribute, ``_pad``: (key
+# length, shift), where its key shifted left by the count of clear bits
+# after its ciphered region lines up with that region of the payload read
+# as one big-endian int, with zeros over the clear bytes.  An attribute and
+# not a dict keyed by the mode: Enum.__hash__ is a Python function, and the
+# pad runs twice a command.
+for _mode in CipherMode:
+    _mode._pad = (_mode.key_length, 8 * (FRAME_LEN - _mode.ciphered.stop))
+del _mode
 
 
 @dataclass(frozen=True)
@@ -148,16 +153,26 @@ class WireFrame:
         return self.payload + self.address.to_bytes(ADDRESS_LEN, "big")
 
 
+# Builds a WireFrame without running __init__ and __post_init__, for the
+# two builders whose own checks already cover both fields.
+_new_wire = object.__new__
+
+
 def parse_wire(data: bytes) -> WireFrame:
     """Split a 36-byte wire frame into its payload and trailing address."""
     if len(data) != WIRE_LEN:
         raise BadLength(f"wire frame is {WIRE_LEN} bytes, got {len(data)}")
-    return WireFrame(int.from_bytes(data[FRAME_LEN:], "big"), bytes(data[:FRAME_LEN]))
+    # The length check fixes the payload at 32 bytes, and 4 address bytes
+    # always fit in 32 bits.
+    wire = _new_wire(WireFrame)
+    wire.address = int.from_bytes(data[FRAME_LEN:], "big")
+    wire.payload = bytes(data[:FRAME_LEN])
+    return wire
 
 
 def _apply_pad(data: bytes, key: bytes, mode: CipherMode) -> bytes:
     """XOR the mode's ciphered region of ``data`` with ``key``; the rest stays clear."""
-    key_length, shift = _PAD[mode]
+    key_length, shift = mode._pad
     if len(key) != key_length:
         raise KeyLengthMismatch(
             f"{mode.value} mode needs a {key_length}-byte key, got {len(key)}"
@@ -171,7 +186,13 @@ def _apply_pad(data: bytes, key: bytes, mode: CipherMode) -> bytes:
 def otp_encrypt(frame: CommandFrame, key: bytes, addr: int,
                 mode: CipherMode = CipherMode.FULL) -> WireFrame:
     """XOR the mode's payload region with ``key`` and attach the address."""
-    return WireFrame(addr, _apply_pad(frame.data, key, mode))
+    payload = _apply_pad(frame.data, key, mode)  # checks it is 32 bytes
+    if not 0 <= addr <= MAX_ADDRESS:
+        raise OutOfRange(f"address must fit in 32 bits, got {addr}")
+    wire = _new_wire(WireFrame)
+    wire.address = addr
+    wire.payload = payload
+    return wire
 
 
 def otp_decrypt(wire: WireFrame, key: bytes,

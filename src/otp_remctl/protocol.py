@@ -18,6 +18,8 @@ live on different threads and meet only through the channel.
 import enum
 from array import array
 from dataclasses import dataclass
+from itertools import compress
+from operator import eq, ne, not_, or_
 from pathlib import Path
 
 from .channel import Delivery, _lines
@@ -72,14 +74,15 @@ class Controller:
 
     def send(self, cmd: CommandFrame) -> WireFrame:
         """Consume one key block and emit the wire frame carrying its address."""
-        addr = self.store.next_expected
-        if addr >= self.store.block_count:
+        store = self.store
+        addr = store.next_expected
+        if addr >= store.block_count:
             raise KeyExhausted(
                 f"store exhausted after {self.frames_sent} frames; recharge required"
             )
-        key = self.store.take_block(addr)
+        key = store.take_block(addr)
         self.frames_sent += 1
-        return otp_encrypt(cmd, key, addr, self.store.mode)
+        return otp_encrypt(cmd, key, addr, store.mode)
 
 
 class Controlee:
@@ -105,20 +108,21 @@ class Controlee:
             wire = parse_wire(wire_bytes)
         except BadLength:
             return self._discard(DiscardReason.BAD_LENGTH)
-        addr = wire.address
-        if addr < self.store.next_expected:
+        store, addr = self.store, wire.address
+        if addr < store.next_expected:
             # Already consumed (or burned): a replayed or stale frame.
             return self._discard(DiscardReason.REPLAY_OR_STALE)
-        self.store.discard_through(addr)
+        store.discard_through(addr)
         try:
-            key = self.store.take_block(addr)
+            key = store.take_block(addr)
         except OutOfRange:
             return self._discard(DiscardReason.KEY_EXHAUSTED)
-        name = self.registry.match(otp_decrypt(wire, key, self.store.mode))
+        registry = self.registry
+        name = registry.match(otp_decrypt(wire, key, store.mode))
         if name is None:
             return self._discard(DiscardReason.VALIDATION_FAILED)
         self.accepted += 1
-        return RxOutcome.accept(self.registry.lookup(name), name)
+        return RxOutcome.accept(registry._frames[name], name)
 
 
 @dataclass(frozen=True, slots=True)
@@ -149,9 +153,15 @@ _KINDS = (("tx", "sent"), ("tx", "exhausted"),
           ("rx", "accepted"), *(("rx", f"discarded:{r.value}") for r in DiscardReason))
 _KIND = {kind: code for code, kind in enumerate(_KINDS)}
 _TX_SENT, _TX_EXHAUSTED = _KIND["tx", "sent"], _KIND["tx", "exhausted"]
-_CH = {d: _KIND["ch", d.value] for d in Delivery}
 _RX_ACCEPTED = _KIND["rx", "accepted"]
-_RX_DISCARDED = {r: _KIND["rx", f"discarded:{r.value}"] for r in DiscardReason}
+# Each channel outcome and discard reason carries the kind code of its
+# record as a plain attribute, ``_kind``, which run_session reads once a
+# frame.  Not a dict keyed by the member: Enum.__hash__ is a Python function.
+for _d in Delivery:
+    _d._kind = _KIND["ch", _d.value]
+for _r in DiscardReason:
+    _r._kind = _KIND["rx", f"discarded:{_r.value}"]
+del _d, _r
 # Flags on a record's kind byte, above its kind code: the record starts a
 # group, and its data repeats the previous record's (no bytes stored).
 _STARTS, _REPEATS = 0x40, 0x80
@@ -309,8 +319,62 @@ class SessionLog:
     def load(cls, path) -> "SessionLog":
         """Read a saved log; ValueError naming ``path:line`` unless ``save``
         would write the file back byte for byte."""
+        raw = Path(path).read_bytes()
+        log = cls._parse(raw)
+        return cls._scan(path, raw) if log is None else log
+
+    @classmethod
+    def _parse(cls, raw: bytes) -> "SessionLog | None":
+        """The log in ``raw`` if ``save`` would write it back byte for byte, else None.
+
+        The file is split into fields once and the columns are built a field
+        at a time, not a line at a time.  The file must equal its fields
+        joined in ``_line``'s form, and each seq, address and hex field must
+        be the text ``save`` writes for the value parsed from it; a seq below
+        0 or an address above MAX_ADDRESS, which read back as they are
+        written, is refused apart.
+        """
+        text = raw.decode("latin-1")
+        fields = text.replace("\n", ",").split(",")
+        if len(fields) % 5 != 1:
+            return None
+        seqs, directions, addrs, events, hexes = (fields[k:-1:5] for k in range(5))
         log = cls()
-        for lineno, line in enumerate(_lines(path), start=1):
+        if not seqs:
+            return None if raw else log
+        if "\n".join(map(_line, seqs, directions, addrs, events, hexes)) + "\n" != text:
+            return None
+        # A record opens a group when its seq or address text differs from
+        # the previous record's, and repeats the previous data when its hex
+        # text is the same; in save's form, text and value differ together.
+        starts = list(map(or_, map(ne, seqs, [None, *seqs]), map(ne, addrs, [None, *addrs])))
+        repeats = list(map(eq, hexes, [None, *hexes]))
+        stored = list(compress(hexes, map(not_, repeats)))
+        try:
+            kinds = [_KIND[kind] for kind in zip(directions, events)]
+            log._seq = array("q", map(int, compress(seqs, starts)))
+            log._address = array("q", [int(a) if a else -1 for a in compress(addrs, starts)])
+            log._data = bytearray.fromhex("".join(stored))
+        except (ValueError, KeyError, OverflowError):
+            return None
+        log._length = array("q", [len(h) >> 1 for h in stored])
+        hexdata = log._data.hex()
+        if (min(log._seq) < 0 or max(log._address) > MAX_ADDRESS
+                or list(map(str, log._seq)) != list(compress(seqs, starts))
+                or ["" if a < 0 else str(a) for a in log._address] != list(compress(addrs, starts))
+                or 2 * sum(log._length) != len(hexdata) or hexdata != "".join(stored)):
+            return None
+        log._kind = array("B", [kind | (_STARTS if start else 0) | (_REPEATS if repeat else 0)
+                                for kind, start, repeat in zip(kinds, starts, repeats)])
+        log._last = bytes.fromhex(hexes[-1])
+        return log
+
+    @classmethod
+    def _scan(cls, path, raw: bytes) -> "SessionLog":
+        """Read ``raw`` line by line, raising ValueError at the first line
+        that ``save`` would not write as it is."""
+        log = cls()
+        for lineno, line in enumerate(_lines(path, raw), start=1):
             try:
                 seq_s, direction, addr_s, event, hexdata = line.split(",")
                 seq, data = int(seq_s), bytes.fromhex(hexdata)
@@ -355,21 +419,23 @@ def run_session(controller: Controller, controlee: Controlee, script,
     """
     log = SessionLog()
     command = log._command
+    send, transmit, receive = controller.send, channel.transmit, controlee.receive
     for seq, cmd in enumerate(script):
         try:
-            wire = controller.send(cmd)
+            wire = send(cmd)
         except KeyExhausted:
             log._add(seq, _TX_EXHAUSTED, None, b"")
             break
         wire_bytes = wire.to_bytes()
-        tx = channel.transmit(wire_bytes)
-        addr, ch, data = wire.address, _CH[tx.outcome], tx.data
+        tx = transmit(wire_bytes)
+        addr, ch, data = wire.address, tx.outcome._kind, tx.data
         if data is None:
             command(seq, addr, wire_bytes, ch, None)
             continue
-        outcome = controlee.receive(data)
-        if outcome.accepted:
-            command(seq, addr, wire_bytes, ch, data, _RX_ACCEPTED, outcome.frame.data)
+        outcome = receive(data)
+        frame = outcome.frame
+        if frame is not None:
+            command(seq, addr, wire_bytes, ch, data, _RX_ACCEPTED, frame.data)
         else:
-            command(seq, addr, wire_bytes, ch, data, _RX_DISCARDED[outcome.reason])
+            command(seq, addr, wire_bytes, ch, data, outcome.reason._kind)
     return log

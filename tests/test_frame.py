@@ -368,6 +368,10 @@ def test_registry_load_skips_comments(tmp_path):
 def test_wire_frame_rejects_out_of_range_address(address):
     with pytest.raises(OutOfRange):
         WireFrame(address, bytes(32))
+    # otp_encrypt checks the address itself before it builds its frame.
+    for mode in CipherMode:
+        with pytest.raises(OutOfRange):
+            otp_encrypt(CommandFrame(CONNECTION), bytes(mode.key_length), address, mode)
 
 
 @pytest.mark.parametrize("mode", list(CipherMode))
@@ -377,5 +381,9 @@ def test_parse_wire_roundtrips_int_addresses(address, mode):
     wire = otp_encrypt(CommandFrame(CONNECTION), key, address, mode)
     back = parse_wire(wire.to_bytes())
     assert back == wire
+    # Both build their frames without the constructor's checks; each frame
+    # equals the one the checked constructor builds from its fields.
+    assert wire == WireFrame(address, wire.payload) == back
+    assert type(back.payload) is bytes and len(back.payload) == FRAME_LEN
     assert type(back.address) is int and back.address == address
     assert otp_decrypt(back, key, mode) == CONNECTION
