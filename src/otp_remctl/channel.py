@@ -100,9 +100,13 @@ class InterceptLog:
         frame = bytes(record.frame)
         if len(frame) != WIRE_LEN:
             raise _width_error(frame)
+        self._add(seq, frame, _CODE[outcome])
+
+    def _add(self, seq: int, frame: bytes, code: int) -> None:
+        """Append one row whose frame is already known to be 36 bytes."""
         self._seq.append(seq)
         self._frames += frame
-        self._outcome.append(_CODE[outcome])
+        self._outcome.append(code)
 
     @property
     def records(self) -> list[Intercept]:
@@ -154,10 +158,7 @@ class Channel:
         else:
             code, data = _DELIVERED, bytes(wire)
         tap = self.intercepts
-        tap._frames += wire
-        seqs = tap._seq
-        seqs.append(len(seqs))
-        tap._outcome.append(code)
+        tap._add(len(tap._seq), wire, code)
         return Transmission(_BY_CODE[code], data)
 
     def _tamper(self, wire: bytes) -> bytes:
@@ -208,12 +209,11 @@ def load_intercepts(path) -> InterceptLog:
     return log
 
 
-def _lines(path, raw: bytes) -> list[str]:
-    """The lines of ``raw``, read from ``path``, each byte read as one latin-1
-    character and split only on "\n", so a "\r" or a byte that is not ASCII
-    is left for the caller's exact check; ValueError naming ``path:line``
-    unless it ends in a newline."""
-    lines = raw.decode("latin-1").split("\n")
+def _lines(path) -> list[str]:
+    """A file's lines, each byte read as one latin-1 character and split only
+    on "\n", so a "\r" or a byte that is not ASCII is left for the caller's
+    exact check; ValueError naming ``path:line`` unless it ends in a newline."""
+    lines = Path(path).read_bytes().decode("latin-1").split("\n")
     if lines.pop():
         raise ValueError(f"{path}:{len(lines) + 1}: no newline at the end of the file")
     return lines
@@ -222,7 +222,7 @@ def _lines(path, raw: bytes) -> list[str]:
 def _read_sidecar(sidecar: Path, count: int) -> tuple[array, array]:
     """The seq and outcome-code columns of a sidecar with one line per frame,
     each exactly as export_intercepts writes it."""
-    lines = _lines(sidecar, sidecar.read_bytes())
+    lines = _lines(sidecar)
     if len(lines) > count:
         raise ValueError(f"{sidecar}:{count + 1}: more lines than the {count} frames")
     seqs, codes = array("q"), array("B")

@@ -18,8 +18,6 @@ live on different threads and meet only through the channel.
 import enum
 from array import array
 from dataclasses import dataclass
-from itertools import compress
-from operator import eq, ne, not_, or_
 from pathlib import Path
 
 from .channel import Delivery, _lines
@@ -122,7 +120,7 @@ class Controlee:
         if name is None:
             return self._discard(DiscardReason.VALIDATION_FAILED)
         self.accepted += 1
-        return RxOutcome.accept(registry._frames[name], name)
+        return RxOutcome.accept(registry.lookup(name), name)
 
 
 @dataclass(frozen=True, slots=True)
@@ -154,14 +152,11 @@ _KINDS = (("tx", "sent"), ("tx", "exhausted"),
 _KIND = {kind: code for code, kind in enumerate(_KINDS)}
 _TX_SENT, _TX_EXHAUSTED = _KIND["tx", "sent"], _KIND["tx", "exhausted"]
 _RX_ACCEPTED = _KIND["rx", "accepted"]
-# Each channel outcome and discard reason carries the kind code of its
-# record as a plain attribute, ``_kind``, which run_session reads once a
-# frame.  Not a dict keyed by the member: Enum.__hash__ is a Python function.
-for _d in Delivery:
-    _d._kind = _KIND["ch", _d.value]
-for _r in DiscardReason:
-    _r._kind = _KIND["rx", f"discarded:{_r.value}"]
-del _d, _r
+# Keyed by the member's value string, which run_session reads as ``_value_``,
+# a plain attribute: Enum.__hash__ and the ``value`` property are Python
+# functions, and these lookups run once a frame.
+_CH = {d.value: _KIND["ch", d.value] for d in Delivery}
+_RX_DISCARDED = {r.value: _KIND["rx", f"discarded:{r.value}"] for r in DiscardReason}
 # Flags on a record's kind byte, above its kind code: the record starts a
 # group, and its data repeats the previous record's (no bytes stored).
 _STARTS, _REPEATS = 0x40, 0x80
@@ -319,62 +314,8 @@ class SessionLog:
     def load(cls, path) -> "SessionLog":
         """Read a saved log; ValueError naming ``path:line`` unless ``save``
         would write the file back byte for byte."""
-        raw = Path(path).read_bytes()
-        log = cls._parse(raw)
-        return cls._scan(path, raw) if log is None else log
-
-    @classmethod
-    def _parse(cls, raw: bytes) -> "SessionLog | None":
-        """The log in ``raw`` if ``save`` would write it back byte for byte, else None.
-
-        The file is split into fields once and the columns are built a field
-        at a time, not a line at a time.  The file must equal its fields
-        joined in ``_line``'s form, and each seq, address and hex field must
-        be the text ``save`` writes for the value parsed from it; a seq below
-        0 or an address above MAX_ADDRESS, which read back as they are
-        written, is refused apart.
-        """
-        text = raw.decode("latin-1")
-        fields = text.replace("\n", ",").split(",")
-        if len(fields) % 5 != 1:
-            return None
-        seqs, directions, addrs, events, hexes = (fields[k:-1:5] for k in range(5))
         log = cls()
-        if not seqs:
-            return None if raw else log
-        if "\n".join(map(_line, seqs, directions, addrs, events, hexes)) + "\n" != text:
-            return None
-        # A record opens a group when its seq or address text differs from
-        # the previous record's, and repeats the previous data when its hex
-        # text is the same; in save's form, text and value differ together.
-        starts = list(map(or_, map(ne, seqs, [None, *seqs]), map(ne, addrs, [None, *addrs])))
-        repeats = list(map(eq, hexes, [None, *hexes]))
-        stored = list(compress(hexes, map(not_, repeats)))
-        try:
-            kinds = [_KIND[kind] for kind in zip(directions, events)]
-            log._seq = array("q", map(int, compress(seqs, starts)))
-            log._address = array("q", [int(a) if a else -1 for a in compress(addrs, starts)])
-            log._data = bytearray.fromhex("".join(stored))
-        except (ValueError, KeyError, OverflowError):
-            return None
-        log._length = array("q", [len(h) >> 1 for h in stored])
-        hexdata = log._data.hex()
-        if (min(log._seq) < 0 or max(log._address) > MAX_ADDRESS
-                or list(map(str, log._seq)) != list(compress(seqs, starts))
-                or ["" if a < 0 else str(a) for a in log._address] != list(compress(addrs, starts))
-                or 2 * sum(log._length) != len(hexdata) or hexdata != "".join(stored)):
-            return None
-        log._kind = array("B", [kind | (_STARTS if start else 0) | (_REPEATS if repeat else 0)
-                                for kind, start, repeat in zip(kinds, starts, repeats)])
-        log._last = bytes.fromhex(hexes[-1])
-        return log
-
-    @classmethod
-    def _scan(cls, path, raw: bytes) -> "SessionLog":
-        """Read ``raw`` line by line, raising ValueError at the first line
-        that ``save`` would not write as it is."""
-        log = cls()
-        for lineno, line in enumerate(_lines(path, raw), start=1):
+        for lineno, line in enumerate(_lines(path), start=1):
             try:
                 seq_s, direction, addr_s, event, hexdata = line.split(",")
                 seq, data = int(seq_s), bytes.fromhex(hexdata)
@@ -428,7 +369,7 @@ def run_session(controller: Controller, controlee: Controlee, script,
             break
         wire_bytes = wire.to_bytes()
         tx = transmit(wire_bytes)
-        addr, ch, data = wire.address, tx.outcome._kind, tx.data
+        addr, ch, data = wire.address, _CH[tx.outcome._value_], tx.data
         if data is None:
             command(seq, addr, wire_bytes, ch, None)
             continue
@@ -437,5 +378,5 @@ def run_session(controller: Controller, controlee: Controlee, script,
         if frame is not None:
             command(seq, addr, wire_bytes, ch, data, _RX_ACCEPTED, frame.data)
         else:
-            command(seq, addr, wire_bytes, ch, data, outcome.reason._kind)
+            command(seq, addr, wire_bytes, ch, data, _RX_DISCARDED[outcome.reason._value_])
     return log

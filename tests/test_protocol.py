@@ -5,7 +5,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from otp_remctl.channel import Channel, ChannelConfig, Delivery, TamperModel, Transmission
 from otp_remctl.entropy import SeededSource
@@ -514,52 +514,6 @@ def test_run_session_lays_out_its_log_as_append_would(steps, blocks, block_size)
         rebuilt.save(appended)
         assert written.read_bytes() == appended.read_bytes()
         assert SessionLog.load(written) == log
-        assert SessionLog._scan(written, written.read_bytes()) == log
-
-
-# A saved log with groups, repeated data, a seq shared by two addresses,
-# an empty address, a tampered frame and empty data, and edits to make of
-# it: (start, length, text) puts ``text`` in place of ``length`` characters.
-_SAVED = ("0,tx,0,sent,00ff\n0,ch,0,delivered,00ff\n0,rx,0,accepted,2400\n"
-          "1,tx,1,sent,01ff\n1,ch,1,tampered,11ff\n1,rx,1,discarded:validation_failed,11ff\n"
-          "2,tx,2,sent,02ff\n2,ch,2,dropped,02ff\n2,ch,3,dropped,02ff\n3,tx,,exhausted,\n")
-_EDITS = st.lists(st.tuples(
-    st.integers(0, len(_SAVED)), st.integers(0, 3),
-    st.sampled_from(["", ",", "\n", "0", "1", "9", "a", "A", "f", "-", "+", " ", "_", "\r",
-                     "\xff", "tx", "ch", "rx", "sent", "00", "0,tx,0,sent,00\n"]),
-), max_size=3)
-_COMMA, _NEWLINE, _HEX = _SAVED.index(",00ff"), _SAVED.index("\n"), _SAVED.index("01ff")
-
-
-@given(_EDITS)
-# fields moved across a line break, the same fields in the same order
-@example([(_COMMA, 1, "\n"), (_NEWLINE, 1, ",")])
-# two odd-length hex fields whose digits still pair up: "01f", "f11ff"
-@example([(_HEX + 3, 1, ""), (_SAVED.index("11ff") - 1, 0, "f")])
-# no field separator and no final newline
-@example([(0, len(_SAVED), "tx")])
-@settings(max_examples=300, deadline=None)
-def test_session_log_load_agrees_with_a_line_by_line_scan(edits):
-    # load builds the log a column at a time and scans line by line only
-    # when the file is not in save's form; the scan alone is the reference.  Both must accept the same files, build the same log, and
-    # refuse the rest with the same path:line message.
-    text = _SAVED
-    for start, length, new in edits:
-        text = text[:start] + new + text[start + length:]
-    raw = text.encode("latin-1")
-    with tempfile.TemporaryDirectory() as d:
-        path = Path(d) / "s.log"
-        path.write_bytes(raw)
-        try:
-            want = SessionLog._scan(path, raw)
-        except ValueError as e:
-            with pytest.raises(ValueError, match=f"^{re.escape(str(e))}$"):
-                SessionLog.load(path)
-            return
-        got = SessionLog.load(path)
-        assert got == want and list(got) == list(want)
-        got.save(path)
-        assert path.read_bytes() == raw
 
 
 def test_run_session_hashes_no_enum_member(monkeypatch):
