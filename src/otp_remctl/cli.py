@@ -98,7 +98,7 @@ def resolve_registry(path=None) -> CommandRegistry:
 def _read_script(path, registry: CommandRegistry):
     """Command frames for a script file: one name per line, # comments ok."""
     frames = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         name = raw.strip()
         if not name or name.startswith("#"):
             continue
@@ -240,11 +240,11 @@ def _cmd_randtest(args) -> int:
                    f"within-bound={100 * fraction:.2f}% c0={series.c(0):g}",
                    ok)
             if args.autocorr_out:
-                Path(args.autocorr_out).write_text(rt.autocorr_csv(series))
+                Path(args.autocorr_out).write_text(rt.autocorr_csv(series), encoding="utf-8")
     if args.report:
-        Path(args.report).write_text(rt.report_csv(rows))
+        Path(args.report).write_text(rt.report_csv(rows), encoding="utf-8")
     if args.json:
-        Path(args.json).write_text(json.dumps(rows, indent=2) + "\n")
+        Path(args.json).write_text(json.dumps(rows, indent=2) + "\n", encoding="utf-8")
     print(f"{failures} of {len(args.tests)} checks failed" if failures
           else f"all {len(args.tests)} checks passed")
     return 3 if failures else 0
@@ -288,7 +288,7 @@ def demo_end_to_end(seed: int, out=None) -> int:
         for name, rep, addr, plain, cipher in rows:
             lines.append(f"{name},{rep},{addr},plain," + ",".join(map(str, plain)))
             lines.append(f"{name},{rep},{addr},cipher," + ",".join(map(str, cipher)))
-        Path(out).write_text("\n".join(lines) + "\n")
+        Path(out).write_text("\n".join(lines) + "\n", encoding="utf-8")
         print(f"csv: {out}")
     return 0
 

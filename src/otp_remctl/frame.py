@@ -278,12 +278,12 @@ class CommandRegistry:
             f"{name}: {','.join(str(b) for b in frame.data)}"
             for name, frame in self._frames.items()
         ]
-        Path(path).write_text("\n".join(lines) + "\n")
+        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     @classmethod
     def load(cls, path) -> "CommandRegistry":
         reg = cls()
-        for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+        for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue

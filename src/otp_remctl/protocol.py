@@ -23,7 +23,8 @@ from pathlib import Path
 from .channel import Delivery, _lines
 from .errors import BadLength, KeyExhausted, OutOfRange
 from .frame import (
-    MAX_ADDRESS,
+    FRAME_LEN,
+    WIRE_LEN,
     CommandFrame,
     CommandRegistry,
     WireFrame,
@@ -139,13 +140,13 @@ class SessionRecord:
     data: bytes
 
 
-def _line(seq: int, direction: str, addr, event: str, hexdata: str) -> str:
+def _line(seq, direction: str, addr, event: str, hexdata: str) -> str:
     """A record as one line of a saved log; ``addr`` is "" for no address."""
     return f"{seq},{direction},{addr},{event},{hexdata}"
 
 
 # Every (direction, event) pair the program logs; a record's kind code is
-# its index here, and a log holds no other pair.
+# its index here, and a log holds no other pair.  The tx kinds come first.
 _KINDS = (("tx", "sent"), ("tx", "exhausted"),
           *(("ch", d.value) for d in Delivery),
           ("rx", "accepted"), *(("rx", f"discarded:{r.value}") for r in DiscardReason))
@@ -157,127 +158,75 @@ _RX_ACCEPTED = _KIND["rx", "accepted"]
 # functions, and these lookups run once a frame.
 _CH = {d.value: _KIND["ch", d.value] for d in Delivery}
 _RX_DISCARDED = {r.value: _KIND["rx", f"discarded:{r.value}"] for r in DiscardReason}
-# Flags on a record's kind byte, above its kind code: the record starts a
-# group, and its data repeats the previous record's (no bytes stored).
-_STARTS, _REPEATS = 0x40, 0x80
-_CODE = _STARTS - 1
-
-
-def _checked_kind(seq: int, direction: str, address: int | None, event: str) -> int:
-    """The kind code of a record's fields; ValueError if the log cannot hold them."""
-    kind = _KIND.get((direction, event))
-    if kind is None:
-        if direction not in {d for d, _ in _KINDS}:
-            raise ValueError(f"unknown direction {direction!r}")
-        raise ValueError(f"unknown {direction} event {event!r}")
-    if not 0 <= seq < 2 ** 63:
-        raise ValueError(f"seq {seq} is outside 0..{2 ** 63 - 1}")
-    if address is not None and not 0 <= address <= MAX_ADDRESS:
-        raise ValueError(f"address {address} is outside 0..{MAX_ADDRESS}")
-    return kind
+# A flag on a record's kind byte, above its kind code: the record's data
+# repeats the previous record's (no bytes stored).
+_REPEATS, _CODE = 0x80, 0x7F
 
 
 class SessionLog:
     """Ordered record of every send, channel event and receive outcome.
 
-    The log is grouped and columnar.  A maximal run of consecutive records
-    with the same seq and address is one group: one row in the int64
-    ``_seq`` and ``_address`` columns (-1 for no address).  Each record
-    keeps one kind byte: its index in the fixed table of (direction,
-    event) pairs, plus a flag when it starts a group and one when its data
-    repeats the previous record's.  Data that does not repeat is appended
-    to one bytearray and its length to an int64 column; a repeat stores
-    nothing, and offsets are running sums of the lengths.  So a command's
-    tx, ch and rx records share one group row, and its frame is stored
-    once: the ch record repeats the tx record's bytes unless the frame was
-    tampered with, and a discarding rx record repeats the ch record's.
-    Both writers, ``_add`` (one record) and ``_command`` (one command),
-    keep this layout canonical, so equal logs have equal columns.
-    ``append`` and ``load`` refuse any pair outside the table.
-    SessionRecords are built only when the log is read: ``records`` is a
-    new list on each access.
-    """
+    The log is columnar and stores nothing it can derive.  Each record
+    keeps one kind byte, its index in the fixed table of (direction,
+    event) pairs plus a flag when its data repeats the previous record's;
+    other data goes to one bytearray and its length to an int64 column.
+    So a frame is stored once: the ch record repeats the tx record's bytes
+    unless the frame was tampered with, and a discarding rx record repeats
+    the ch record's.  Every command opens with a tx record, so a record's
+    seq is its command's index and its address is the address field of
+    that command's frame (none for ``exhausted``).  ``_command`` and
+    ``_exhausted`` are the writers and ``load`` replays a file through
+    them, so equal logs have equal columns.  Records are built only when
+    the log is read: ``records`` is a new list on each access."""
 
-    def __init__(self, records=None) -> None:
-        self._seq = array("q")
-        self._address = array("q")
+    def __init__(self) -> None:
         self._kind = array("B")
         self._length = array("q")
         self._data = bytearray()
-        self._last = None  # the previous record's data
-        for record in records or ():
-            self.append(record)
 
-    def append(self, record: SessionRecord) -> None:
-        seq, address = record.seq, record.address
-        kind = _checked_kind(seq, record.direction, address, record.event)
-        self._add(seq, kind, address, record.data)
-
-    def _add(self, seq: int, kind: int, address: int | None, data: bytes) -> None:
-        """Append one checked record, opening a group when its seq or address differs."""
-        if data == self._last:
-            kind |= _REPEATS
-        else:
-            self._data += data
-            self._length.append(len(data))
-            self._last = bytes(data)  # a copy if the caller's data can change
-        address = -1 if address is None else address
-        if not self._seq or seq != self._seq[-1] or address != self._address[-1]:
-            self._seq.append(seq)
-            self._address.append(address)
-            kind |= _STARTS
-        self._kind.append(kind)
-
-    def _command(self, seq: int, address: int, wire: bytes, ch: int, data,
-                 rx: int | None = None, plain: bytes | None = None) -> None:
-        """Append one sent command's records as a new group, laid out as ``_add`` would.
-
-        The records are tx ``sent`` with ``wire``; the ``ch`` kind with
-        ``data``, or with ``wire`` when ``data`` is None (a dropped frame);
-        and, unless ``rx`` is None, the ``rx`` kind with the accepted
-        ``plain`` text, or with the received ``data`` when ``plain`` is None.
-        ``seq`` must differ from the last group's, as each command's does.
-        """
+    def _command(self, wire: bytes, ch: int, data, rx: int | None = None,
+                 plain: bytes | None = None) -> None:
+        """Append one sent command's records: tx ``sent`` with ``wire``; the
+        ``ch`` kind with ``data``, or with ``wire`` when ``data`` is None (a
+        dropped frame); and, unless ``rx`` is None, the ``rx`` kind with the
+        accepted ``plain`` text, or with the received ``data`` when ``plain``
+        is None."""
         stored, lengths, kinds = self._data, self._length, self._kind
-        self._seq.append(seq)
-        self._address.append(address)
-        if wire == self._last:
-            kinds.append(_TX_SENT | _STARTS | _REPEATS)
-        else:
-            stored += wire
-            lengths.append(len(wire))
-            kinds.append(_TX_SENT | _STARTS)
+        stored += wire
+        lengths.append(len(wire))
+        kinds.append(_TX_SENT)
         if data is None or data == wire:
             kinds.append(ch | _REPEATS)
-            data = wire
         else:
             stored += data
             lengths.append(len(data))
             kinds.append(ch)
-            data = bytes(data)  # a copy if the channel's data can change
         if rx is None:
-            self._last = data
-        elif plain is None or plain == data:
+            return
+        if plain is None:
             kinds.append(rx | _REPEATS)
-            self._last = data
         else:
             stored += plain
             lengths.append(len(plain))
             kinds.append(rx)
-            self._last = plain  # a registry frame's bytes are hashable, so they stay put
+
+    def _exhausted(self) -> None:
+        """Append the tx ``exhausted`` record, which has no data."""
+        self._kind.append(_TX_EXHAUSTED)
+        self._length.append(0)
 
     def _rows(self, kinds=None):
         """SessionRecords in log order, only those of ``kinds`` when given."""
         data = bytes(self._data)
-        groups, lengths = zip(self._seq, self._address), iter(self._length)
-        end = 0
+        lengths = iter(self._length)
+        seq, end = -1, 0
         for kind in self._kind:
-            if kind & _STARTS:
-                seq, address = next(groups)
-                address = None if address < 0 else address
             if not kind & _REPEATS:
                 start, end = end, end + next(lengths)
                 chunk = data[start:end]
+            if kind <= _TX_EXHAUSTED:  # a tx record opens the next command
+                seq += 1
+                address = int.from_bytes(chunk[FRAME_LEN:], "big") if kind == _TX_SENT else None
             kind &= _CODE
             if kinds is None or kind in kinds:
                 direction, event = _KINDS[kind]
@@ -294,44 +243,88 @@ class SessionLog:
 
     def save(self, path) -> None:
         lines = []
-        groups, lengths = zip(self._seq, self._address), iter(self._length)
-        end = 0
+        lengths = iter(self._length)
+        seq, end = -1, 0
         with memoryview(self._data) as data:
             for kind in self._kind:
-                if kind & _STARTS:
-                    seq, address = next(groups)
-                    addr = "" if address < 0 else address
                 if not kind & _REPEATS:
                     start, end = end, end + next(lengths)
                     hexdata = data[start:end].hex()
+                if kind <= _TX_EXHAUSTED:  # a tx record opens the next command
+                    seq += 1
+                    # as text once a command, not once a record
+                    seq_s, addr = str(seq), ""
+                    if kind == _TX_SENT:
+                        addr = str(int.from_bytes(data[start + FRAME_LEN:end], "big"))
                 direction, event = _KINDS[kind & _CODE]
-                lines.append(_line(seq, direction, addr, event, hexdata))
+                lines.append(_line(seq_s, direction, addr, event, hexdata))
         text = "\n".join(lines)
         # bytes: text mode writes "\r\n" on Windows, which load refuses
         Path(path).write_bytes(f"{text}\n".encode() if text else b"")
 
     @classmethod
     def load(cls, path) -> "SessionLog":
-        """Read a saved log; ValueError naming ``path:line`` unless ``save``
-        would write the file back byte for byte."""
-        log = cls()
-        for lineno, line in enumerate(_lines(path), start=1):
-            try:
-                seq_s, direction, addr_s, event, hexdata = line.split(",")
-                seq, data = int(seq_s), bytes.fromhex(hexdata)
-                address = int(addr_s) if addr_s else None
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: expected "
-                                 "'seq,direction,address,event,hexdata'") from None
-            try:
-                kind = _checked_kind(seq, direction, address, event)
-            except ValueError as e:
-                raise ValueError(f"{path}:{lineno}: {e}") from None
-            canonical = _line(seq, direction, "" if address is None else address,
-                              event, data.hex())
-            if line != canonical:
-                raise ValueError(f"{path}:{lineno}: not in the form save writes: {canonical!r}")
-            log._add(seq, kind, address, data)
+        """Read a saved log; ValueError naming ``path:line`` unless
+        ``run_session`` could have written it and ``save`` writes it back
+        byte for byte: command k is a tx ``sent`` line of seq k holding a
+        wire frame with the line's address, then a ch line and, unless the
+        frame was dropped, an rx line with the same seq and address, whose
+        data repeats the line before when dropped or discarded; a last tx
+        ``exhausted`` line has no address and no data."""
+        log, lines = cls(), _lines(path)
+        # The line due next: command k's tx, ch or rx line, or None after
+        # "exhausted"; and the open command's address and _command arguments.
+        k, due, address_field, args, lineno = 0, "tx", None, [], 0
+        try:
+            for lineno, line in enumerate(lines, start=1):
+                try:
+                    seq_s, direction, addr_s, event, hexdata = line.split(",")
+                    seq, data = int(seq_s), bytes.fromhex(hexdata)
+                    address = int(addr_s) if addr_s else None
+                except ValueError:
+                    raise ValueError("expected 'seq,direction,address,event,hexdata'") from None
+                kind = _KIND.get((direction, event))
+                if kind is None:
+                    if direction not in {"tx", "ch", "rx"}:
+                        raise ValueError(f"unknown direction {direction!r}")
+                    raise ValueError(f"unknown {direction} event {event!r}")
+                canonical = _line(seq, direction, "" if address is None else address,
+                                  event, data.hex())
+                if line != canonical:
+                    raise ValueError(f"not in the form save writes: {canonical!r}")
+                if direction != due:
+                    expected = f"command {k}'s {due} line" if due else "nothing after 'exhausted'"
+                    raise ValueError(f"expected {expected}, not {direction}")
+                if seq != k:
+                    raise ValueError(f"seq {seq} is not the command's index {k}")
+                if kind == _TX_SENT:
+                    if len(data) != WIRE_LEN:
+                        raise ValueError(f"sent data is {len(data)} bytes, not {WIRE_LEN}")
+                    address_field = int.from_bytes(data[FRAME_LEN:], "big")
+                    args, due = [data], "ch"
+                elif kind == _TX_EXHAUSTED:
+                    if address is not None or data:
+                        raise ValueError("an exhausted line has no address and no data")
+                    address_field, due = None, None
+                    log._exhausted()
+                if address != address_field:
+                    raise ValueError(f"address {addr_s or 'none'} is not the "
+                                     f"frame's address {address_field}")
+                if direction != "tx":
+                    repeats = kind == _CH["dropped"] or event.startswith("discarded")
+                    if repeats and data != args[-1]:
+                        raise ValueError(f"{event} data is not the data on the line before")
+                    args += (kind, None if repeats else data)
+                    if direction == "ch" and kind != _CH["dropped"]:
+                        due = "rx"
+                    else:
+                        log._command(*args)
+                        k, due = k + 1, "tx"
+            if due in ("ch", "rx"):
+                lineno += 1
+                raise ValueError(f"expected command {k}'s {due} line, not the end of the file")
+        except ValueError as e:
+            raise ValueError(f"{path}:{lineno}: {e}") from None
         return log
 
     def __len__(self) -> int:
@@ -341,13 +334,13 @@ class SessionLog:
         return self._rows()
 
     def __eq__(self, other) -> bool:
-        # Both writers lay equal record sequences out identically.
+        # One writer lays equal record sequences out identically.
         if not isinstance(other, SessionLog):
             return NotImplemented
         return self._columns() == other._columns()
 
     def _columns(self) -> tuple:
-        return self._seq, self._address, self._kind, self._length, self._data
+        return self._kind, self._length, self._data
 
 
 def run_session(controller: Controller, controlee: Controlee, script,
@@ -361,22 +354,22 @@ def run_session(controller: Controller, controlee: Controlee, script,
     log = SessionLog()
     command = log._command
     send, transmit, receive = controller.send, channel.transmit, controlee.receive
-    for seq, cmd in enumerate(script):
+    for cmd in script:
         try:
             wire = send(cmd)
         except KeyExhausted:
-            log._add(seq, _TX_EXHAUSTED, None, b"")
+            log._exhausted()
             break
         wire_bytes = wire.to_bytes()
         tx = transmit(wire_bytes)
-        addr, ch, data = wire.address, _CH[tx.outcome._value_], tx.data
+        ch, data = _CH[tx.outcome._value_], tx.data
         if data is None:
-            command(seq, addr, wire_bytes, ch, None)
+            command(wire_bytes, ch, None)
             continue
         outcome = receive(data)
         frame = outcome.frame
         if frame is not None:
-            command(seq, addr, wire_bytes, ch, data, _RX_ACCEPTED, frame.data)
+            command(wire_bytes, ch, data, _RX_ACCEPTED, frame.data)
         else:
-            command(seq, addr, wire_bytes, ch, data, _RX_DISCARDED[outcome.reason._value_])
+            command(wire_bytes, ch, data, _RX_DISCARDED[outcome.reason._value_])
     return log

@@ -1,11 +1,15 @@
 import gc
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import otp_remctl
 from otp_remctl import randtest as rt
 from otp_remctl.cli import REGISTRY_ENV, demo_end_to_end, run
 from otp_remctl.entropy import SeededSource
@@ -145,6 +149,38 @@ def test_registry_flag_beats_env(tmp_path, monkeypatch):
     script = _script(tmp_path, ["Linkup"])
     assert run(["simulate", "--controller", str(a), "--controlee", str(b),
                 "--script", str(script), "--registry", str(regfile)]) == 0
+
+
+# Saves, reloads and flies a registry whose one name is not ASCII, written
+# as an escape because the child decodes its -c argument in its locale.
+_UTF8_FLIGHT = """
+import locale, sys
+from otp_remctl.cli import run
+from otp_remctl.frame import CommandRegistry, standard_registry
+print(locale.getpreferredencoding(False))
+reg = CommandRegistry()
+reg.add("Vorw\\u00e4rts", standard_registry().lookup("Forward"))
+reg.save("own.reg")
+assert CommandRegistry.load("own.reg").names() == reg.names()
+sys.exit(run(["simulate", "--controller", "a.sks", "--controlee", "b.sks",
+              "--script", "fly.cmds", "--registry", "own.reg"]))
+"""
+
+
+def test_text_files_are_utf8_under_an_ascii_locale(tmp_path):
+    _charge(tmp_path)
+    (tmp_path / "fly.cmds").write_text("Vorwärts\n", encoding="utf-8")
+    src = str(Path(otp_remctl.__file__).parents[1])
+    env = {**os.environ, "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", _UTF8_FLIGHT], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    encoding = done.stdout.partition("\n")[0]
+    if encoding.lower().replace("-", "") == "utf8":
+        pytest.skip("this platform's C locale is UTF-8")
+    assert done.returncode == 0, done.stderr
+    assert "accepted         : 1" in done.stdout
+    assert (tmp_path / "own.reg").read_bytes().startswith("Vorwärts: ".encode())
 
 
 def test_randtest_all_zeros_fails_with_exit_3(tmp_path, capsys):
