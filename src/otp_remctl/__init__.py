@@ -60,7 +60,6 @@ from .frame import (
     otp_encrypt,
     parse_wire,
     standard_registry,
-    validate_frame,
 )
 from .keystore import SksStore, charge
 from .protocol import (

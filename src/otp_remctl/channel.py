@@ -252,14 +252,11 @@ def _read_sidecar(sidecar: Path, count: int) -> tuple[array, array]:
     return seqs, codes
 
 
-def extract_ciphertext(frames, mode: CipherMode = CipherMode.FULL) -> bytes:
-    """Concatenate the ciphered bytes of wire frames, skipping clear fields.
+def extract_ciphertext(frames: InterceptLog, mode: CipherMode = CipherMode.FULL) -> bytes:
+    """Concatenate the ciphered bytes of a tap's wire frames, skipping clear fields.
 
-    ``frames`` is an InterceptLog or an iterable of 36-byte frames.  Full
-    mode keeps the whole 32-byte payload; selective mode keeps only bytes
-    5..27 of it.
+    Full mode keeps the whole 32-byte payload; selective mode keeps only
+    bytes 5..27 of it.
     """
-    if not isinstance(frames, InterceptLog):
-        frames = InterceptLog(Intercept(k, f) for k, f in enumerate(frames))
     wire = np.frombuffer(frames._frames, dtype=np.uint8).reshape(-1, WIRE_LEN)
     return wire[:, mode.ciphered].tobytes()

@@ -54,6 +54,11 @@ def _source_arg(text):
         raise argparse.ArgumentTypeError(str(exc))
 
 
+def _seed_arg(text):
+    """A key-material seed, held to the seeded source's own 0..2^64-1 rule."""
+    return _source_arg(f"seeded:{text}").seed
+
+
 def _positive_int(text):
     value = int(text)
     if value < 1:
@@ -373,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_randtest)
 
     p = sub.add_parser("demo", help="five commands, five encryptions each")
-    p.add_argument("--seed", type=_nonneg_int, default=7, help="key-material seed")
+    p.add_argument("--seed", type=_seed_arg, default=7, help="key-material seed")
     p.add_argument("--out", default=None, help="write plot-ready CSV here")
     p.set_defaults(func=_cmd_demo)
 

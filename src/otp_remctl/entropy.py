@@ -60,12 +60,11 @@ class SeededSource(EntropySource):
     whatever the read sizes.
 
     One such draw is 1024 successive 32-bit Mersenne Twister outputs, each
-    laid out little-endian.  ``fill`` therefore draws every chunk it lacks
-    in one vectorised step: it copies the generator's state into numpy's
-    ``MT19937``, takes the words from there, and copies the state back, so
-    both the bytes and the generator's state afterwards are exactly those
-    of the successive ``randbytes`` calls.  Bytes drawn past ``n`` (less
-    than one chunk) are held for the next ``fill``.
+    laid out little-endian.  The source therefore loads the seeded
+    generator's state into its own numpy ``MT19937`` once, at construction,
+    and ``fill`` draws every chunk it lacks from that generator in one
+    vectorised step.  Bytes drawn past ``n`` (less than one chunk) are held
+    for the next ``fill``.
     """
 
     kind = "seeded"
@@ -74,7 +73,11 @@ class SeededSource(EntropySource):
         if not 0 <= seed <= MAX_SEED:
             raise ValueError(f"seed must fit in 64 bits, got {seed}")
         self.seed = seed
-        self._rng = random.Random(seed)
+        _, internal, _ = random.Random(seed).getstate()
+        self._mt = np.random.MT19937(0)  # the seed is a placeholder: the state is set next
+        self._mt.state = {"bit_generator": "MT19937",
+                          "state": {"key": np.array(internal[:-1], np.uint32),
+                                    "pos": internal[-1]}}
         self._buffer = b""
 
     def _draw(self, n: int) -> bytes:
@@ -84,21 +87,12 @@ class SeededSource(EntropySource):
             return out
         stream = np.empty(held + -(-(n - held) // _CHUNK) * _CHUNK, np.uint8)
         stream[:held] = np.frombuffer(self._buffer, np.uint8)
-        self._next_words(stream[held:].view("<u4"))
-        self._buffer = stream[n:].tobytes()
-        return stream[:n].tobytes()
-
-    def _next_words(self, words: np.ndarray) -> None:
-        """Fill ``words`` with the generator's next outputs and advance it past them."""
-        version, internal, gauss = self._rng.getstate()
-        mt = np.random.MT19937(0)  # the seed is a placeholder: the state is set next
-        mt.state = {"bit_generator": "MT19937",
-                    "state": {"key": np.array(internal[:-1], np.uint32), "pos": internal[-1]}}
+        words = stream[held:].view("<u4")
         for start in range(0, len(words), _BATCH):
             part = words[start:start + _BATCH]
-            part[:] = mt.random_raw(len(part))
-        state = mt.state["state"]
-        self._rng.setstate((version, (*state["key"].tolist(), state["pos"]), gauss))
+            part[:] = self._mt.random_raw(len(part))
+        self._buffer = stream[n:].tobytes()
+        return stream[:n].tobytes()
 
 
 class FileSource(EntropySource):

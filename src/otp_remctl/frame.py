@@ -121,16 +121,6 @@ def encode_command(channels, aux: bytes, trailer: bytes) -> CommandFrame:
     return CommandFrame(HEADER + _CHANNELS.pack(*channels) + aux + trailer)
 
 
-def validate_frame(data: bytes) -> bool:
-    """True iff the fixed header is intact.
-
-    A wrong input length is a caller error, not invalidity, and raises.
-    """
-    if len(data) != FRAME_LEN:
-        raise BadLength(f"frame is {FRAME_LEN} bytes, got {len(data)}")
-    return data[:5] == HEADER
-
-
 @dataclass(slots=True)
 class WireFrame:
     """The on-air unit: ciphered payload plus the key address in clear.

@@ -69,7 +69,7 @@ class SksStore:
 
     Single-writer; a loaded store that is never mutated may be read
     concurrently.  The ledger is the consumed prefix: the blocks below
-    ``next_expected`` are burned, the rest are fresh, and it only grows.
+    ``consumed_count`` are burned, the rest are fresh, and it only grows.
     """
 
     def __init__(self, block_size: int, block_count: int, key_material: bytes,
@@ -92,12 +92,8 @@ class SksStore:
         return self._material
 
     @property
-    def next_expected(self) -> int:
-        """Smallest unconsumed index (== block_count when exhausted)."""
-        return self._next
-
-    @property
     def consumed_count(self) -> int:
+        """Smallest unconsumed index (== block_count when exhausted)."""
         return self._next
 
     @property
@@ -108,7 +104,7 @@ class SksStore:
         """Return the block at ``addr``, burning it and every block below it.
 
         Raises OutOfRange past the end of the store and KeyReused below
-        next_expected; the block's bytes are returned exactly once, ever.
+        consumed_count; the block's bytes are returned exactly once, ever.
         """
         if not 0 <= addr < self.block_count:
             raise OutOfRange(f"address {addr} not in store of {self.block_count} blocks")
@@ -121,7 +117,7 @@ class SksStore:
     def discard_through(self, addr: int) -> int:
         """Burn every unconsumed block below ``addr``; return how many.
 
-        Idempotent: a no-op when ``addr`` is at or below next_expected.
+        Idempotent: a no-op when ``addr`` is at or below consumed_count.
         """
         burned = max(0, min(addr, self.block_count) - self._next)
         self._next += burned

@@ -74,7 +74,7 @@ class Controller:
     def send(self, cmd: CommandFrame) -> WireFrame:
         """Consume one key block and emit the wire frame carrying its address."""
         store = self.store
-        addr = store.next_expected
+        addr = store.consumed_count
         if addr >= store.block_count:
             raise KeyExhausted(
                 f"store exhausted after {self.frames_sent} frames; recharge required"
@@ -108,7 +108,7 @@ class Controlee:
         except BadLength:
             return self._discard(DiscardReason.BAD_LENGTH)
         store, addr = self.store, wire.address
-        if addr < store.next_expected:
+        if addr < store.consumed_count:
             # Already consumed (or burned): a replayed or stale frame.
             return self._discard(DiscardReason.REPLAY_OR_STALE)
         store.discard_through(addr)

@@ -217,20 +217,20 @@ def test_load_without_sidecar_numbers_frames(tmp_path):
     assert [(r.seq, r.outcome) for r in loaded] == [(0, None), (1, None)]
 
 
+def _tap(frames) -> InterceptLog:
+    return InterceptLog(Intercept(k, f) for k, f in enumerate(frames))
+
+
 def test_extract_ciphertext_modes():
-    frames = [_wire(0), _wire(1)]
+    frames = _tap([_wire(0), _wire(1)])
     full = extract_ciphertext(frames, CipherMode.FULL)
     sel = extract_ciphertext(frames, CipherMode.SELECTIVE)
     assert len(full) == 64 and full[:32] == _wire(0)[:32]
     assert len(sel) == 46 and sel[:23] == _wire(0)[5:28]
     distinct = [bytes(range(k * 36, k * 36 + 36)) for k in range(3)]
-    assert extract_ciphertext(iter(distinct)) == b"".join(f[:32] for f in distinct)
-    assert (extract_ciphertext(distinct, CipherMode.SELECTIVE)
+    assert extract_ciphertext(_tap(distinct)) == b"".join(f[:32] for f in distinct)
+    assert (extract_ciphertext(_tap(distinct), CipherMode.SELECTIVE)
             == b"".join(f[5:28] for f in distinct))
-    with pytest.raises(ValueError, match="got 35"):
-        extract_ciphertext([_wire(0), b"\x00" * 35])
-    with pytest.raises(ValueError, match="got 37"):
-        extract_ciphertext(iter([b"\x00" * 37]))
 
 
 def test_extract_ciphertext_accepts_log():
@@ -270,4 +270,4 @@ def test_columnar_tap_matches_a_list_of_intercepts(records):
         assert Path(d, "corpus.bin.idx").read_text() == (sidecar + "\n" if sidecar else "")
         assert list(load_intercepts(path)) == records
     for mode in CipherMode:
-        assert extract_ciphertext(log, mode) == extract_ciphertext(log.frames(), mode)
+        assert extract_ciphertext(log, mode) == b"".join(f[mode.ciphered] for f in log.frames())

@@ -360,6 +360,18 @@ def test_demo_output(tmp_path, capsys):
     assert len(plain_rows) == 1  # identical across repetitions
 
 
+@pytest.mark.parametrize("seed", [str(2**64), "-1", "seven"])
+def test_demo_seed_follows_the_seeded_source_rule(seed, capsys):
+    # the same seed is a usage error for gen-keys --source seeded:<seed>
+    assert run(["gen-keys", "--source", f"seeded:{seed}", "--bytes", "1",
+                "--out", "unused.bin"]) == 1
+    source_err = capsys.readouterr().err.splitlines()[-1]
+    assert run(["demo", "--seed", seed]) == 1
+    demo_err = capsys.readouterr().err.splitlines()[-1]
+    assert demo_err.replace("demo: error: argument --seed:",
+                            "gen-keys: error: argument --source:") == source_err
+
+
 def test_demo_function_is_reusable(tmp_path):
     assert demo_end_to_end(seed=7, out=tmp_path / "d.csv") == 0
 

@@ -78,10 +78,17 @@ _MIB = 1 << 20  # 256 chunks: one numpy call's worth of words
 @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
 def test_fill_matches_successive_randbytes(seed, sizes):
     src, ref = SeededSource(seed), _ReferenceStream(seed)
-    for n in sizes:
+    for n in sizes + [4096]:
         assert src.fill(n) == ref.fill(n)
-        # the generator is left exactly where the successive draws leave it
-        assert src._rng.getstate() == ref.rng.getstate()
+
+
+def test_equal_seeded_sources_drawn_interleaved_each_give_the_stream():
+    # Each source owns its generator: draws from one never advance the other.
+    a, b = SeededSource(11), SeededSource(11)
+    ref_a, ref_b = _ReferenceStream(11), _ReferenceStream(11)
+    for n_a, n_b in [(1, 4097), (5000, 3), (0, 8190), (4096, 1), (12289, 4095)]:
+        assert a.fill(n_a) == ref_a.fill(n_a)
+        assert b.fill(n_b) == ref_b.fill(n_b)
 
 
 def test_system_source_length_only():

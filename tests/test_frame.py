@@ -20,7 +20,6 @@ from otp_remctl.frame import (
     otp_encrypt,
     parse_wire,
     standard_registry,
-    validate_frame,
 )
 
 # Fixed command rows, frozen from the deployed system's byte captures.
@@ -48,7 +47,7 @@ def test_registry_has_five_commands():
     assert set(reg.names()) == {"Connection", "Backward", "Turn Left",
                                 "Turn Right", "Forward"}
     for _, frame in reg:
-        assert validate_frame(frame.data)
+        assert frame.data[:5] == HEADER
 
 
 def test_standard_commands_differ_in_two_bytes_min():
@@ -89,20 +88,13 @@ def test_command_frame_rejects_bad_input():
         CommandFrame(b"\x00" * 32)
 
 
-def test_validate_frame():
-    assert validate_frame(CONNECTION) is True
-    assert validate_frame(b"\x00" * 32) is False
-    with pytest.raises(BadLength):
-        validate_frame(b"\x00" * 31)
-
-
 def test_validate_random_ciphertexts_never_pass():
     # spot-check through the real pipeline
     source = SeededSource(31)
     frame = CommandFrame(CONNECTION)
     for i in range(200):
         wire = otp_encrypt(frame, source.fill(32), i)
-        assert validate_frame(wire.payload) is False
+        assert wire.payload[:5] != HEADER
     # mass check: the ciphered header is valid only if the key bytes
     # covering it are all zero; expect zero such keys in 1e5 draws
     rng = np.random.default_rng(2024)

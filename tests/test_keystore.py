@@ -33,9 +33,8 @@ def make_pair():
 def test_charge_produces_matched_stores():
     a, b = charge(SeededSource(1), 32, 10)
     assert a.key_material == b.key_material
-    assert a.next_expected == 0
-    assert b.next_expected == 0
     assert a.consumed_count == 0
+    assert b.consumed_count == 0
 
 
 def test_charge_material_length():
@@ -104,26 +103,25 @@ def test_matched_stores_agree_per_block(make_pair):
 def test_take_advances_next_expected(make_pair):
     s, _ = make_pair()
     s.take_block(0)
-    assert s.next_expected == 1
+    assert s.consumed_count == 1
     s.take_block(2)
     # taking 2 burns 1 on the way: the ledger is a consumed prefix
-    assert s.next_expected == 3
     assert s.consumed_count == 3
     with pytest.raises(KeyReused):
         s.take_block(1)
-    assert s.next_expected == 3
+    assert s.consumed_count == 3
 
 
 def test_discard_through_noop(make_pair):
     s, _ = make_pair()
     assert s.discard_through(0) == 0
-    assert s.next_expected == 0
+    assert s.consumed_count == 0
 
 
 def test_discard_through_counts(make_pair):
     s, _ = make_pair()
     assert s.discard_through(3) == 3
-    assert s.next_expected == 3
+    assert s.consumed_count == 3
     assert s.discard_through(3) == 0
 
 
@@ -156,7 +154,7 @@ def test_consumed_argument_refuses_a_per_block_ledger(ledger):
 def test_consumed_argument_is_a_prefix_length(consumed):
     s = SksStore(23, 9, bytes(9 * 23), consumed)
     assert s.consumed_bitmap() == _reference_bitmap([1] * consumed + [0] * (9 - consumed))
-    assert s.consumed_count == s.next_expected == consumed
+    assert s.consumed_count == consumed
     assert s.remaining == 9 - consumed
 
 
@@ -210,7 +208,7 @@ def test_ledger_codec_matches_reference(tmp_path, blocks, pattern):
     loaded = SksStore.load(p)
     assert _reference_ledger(loaded.consumed_bitmap(), blocks) == decoded
     assert loaded.consumed_count == sum(ledger)
-    assert loaded.next_expected == store.next_expected
+    assert loaded.consumed_count == store.consumed_count
     assert loaded == store
 
 
@@ -250,7 +248,7 @@ def test_save_load_roundtrip(tmp_path, make_pair):
     s.save(p)
     loaded = SksStore.load(p)
     assert loaded == s
-    assert loaded.next_expected == loaded.consumed_count == 8
+    assert loaded.consumed_count == 8
     for burned in (0, 1, 7):
         with pytest.raises(KeyReused):
             loaded.take_block(burned)
@@ -416,7 +414,6 @@ def test_no_block_is_returned_twice(seed, ops):
             burned = max(0, min(i, 24) - model)
             assert store.discard_through(i) == burned
             model += burned
-        assert store.next_expected == model
         assert store.consumed_count == model
         # the ledger only grows
         assert store.consumed_count >= consumed_hwm
@@ -425,7 +422,7 @@ def test_no_block_is_returned_twice(seed, ops):
 
 def test_store_addresses_are_plain_ints(make_pair):
     s, _ = make_pair(blocks=4)
-    assert type(s.next_expected) is int
+    assert type(s.consumed_count) is int
     s.take_block(0)
     assert s.discard_through(2) == 1
-    assert s.consumed_count == 2 and s.next_expected == 2
+    assert s.consumed_count == 2
