@@ -41,6 +41,9 @@ class ChannelConfig:
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {p}")
+        # random.Random seeds with abs(), so -s would fly the schedule of s
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be non-negative, got {self.rng_seed}")
 
 
 @dataclass(slots=True)

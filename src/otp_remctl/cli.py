@@ -341,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="in-flight corruption probability")
         p.add_argument("--tamper-model", choices=("flip", "randomize"),
                        default="flip", help="corruption model")
-        p.add_argument("--seed", type=int, default=0, help="channel seed")
+        p.add_argument("--seed", type=_nonneg_int, default=0, help="channel seed")
         p.add_argument("--registry", default=None,
                        help=f"command registry file (default: ${REGISTRY_ENV} "
                             "or the built-in five commands)")

@@ -140,11 +140,6 @@ class SessionRecord:
     data: bytes
 
 
-def _line(seq, direction: str, addr, event: str, hexdata: str) -> str:
-    """A record as one line of a saved log; ``addr`` is "" for no address."""
-    return f"{seq},{direction},{addr},{event},{hexdata}"
-
-
 # Every (direction, event) pair the program logs; a record's kind code is
 # its index here, and a log holds no other pair.  The tx kinds come first.
 _KINDS = (("tx", "sent"), ("tx", "exhausted"),
@@ -175,9 +170,10 @@ class SessionLog:
     the ch record's.  Every command opens with a tx record, so a record's
     seq is its command's index and its address is the address field of
     that command's frame (none for ``exhausted``).  ``_command`` and
-    ``_exhausted`` are the writers and ``load`` replays a file through
-    them, so equal logs have equal columns.  Records are built only when
-    the log is read: ``records`` is a new list on each access."""
+    ``_exhausted`` are the writers, ``_walk`` is the one reader, and
+    ``load`` replays a file through the writers, so equal logs have equal
+    columns.  Records are built only when the log is read: ``records`` is
+    a new list on each access."""
 
     def __init__(self) -> None:
         self._kind = array("B")
@@ -215,8 +211,10 @@ class SessionLog:
         self._kind.append(_TX_EXHAUSTED)
         self._length.append(0)
 
-    def _rows(self, kinds=None):
-        """SessionRecords in log order, only those of ``kinds`` when given."""
+    def _walk(self):
+        """(seq, address, kind code, data) of each record in log order: a tx
+        record opens the next command, whose address is its frame's last 4
+        bytes, and a ``_REPEATS`` record yields the previous record's data."""
         data = bytes(self._data)
         lengths = iter(self._length)
         seq, end = -1, 0
@@ -227,10 +225,27 @@ class SessionLog:
             if kind <= _TX_EXHAUSTED:  # a tx record opens the next command
                 seq += 1
                 address = int.from_bytes(chunk[FRAME_LEN:], "big") if kind == _TX_SENT else None
-            kind &= _CODE
+            yield seq, address, kind & _CODE, chunk
+
+    def _rows(self, kinds=None):
+        """SessionRecords in log order, only those of ``kinds`` when given."""
+        for seq, address, kind, data in self._walk():
             if kinds is None or kind in kinds:
                 direction, event = _KINDS[kind]
-                yield SessionRecord(seq, direction, address, event, chunk)
+                yield SessionRecord(seq, direction, address, event, data)
+
+    def _lines(self) -> list[str]:
+        """The lines ``save`` writes, without their newlines."""
+        lines, prev_seq, prev_data = [], None, None
+        for seq, address, kind, data in self._walk():
+            # as text once a command or a stored chunk, not once a record
+            if seq != prev_seq:
+                prev_seq, seq_s, addr = seq, str(seq), "" if address is None else str(address)
+            if data is not prev_data:
+                prev_data, hexdata = data, data.hex()
+            direction, event = _KINDS[kind]
+            lines.append(f"{seq_s},{direction},{addr},{event},{hexdata}")
+        return lines
 
     @property
     def records(self) -> list[SessionRecord]:
@@ -242,45 +257,28 @@ class SessionLog:
                                 if e == event or e.startswith(event + ":")}))
 
     def save(self, path) -> None:
-        lines = []
-        lengths = iter(self._length)
-        seq, end = -1, 0
-        with memoryview(self._data) as data:
-            for kind in self._kind:
-                if not kind & _REPEATS:
-                    start, end = end, end + next(lengths)
-                    hexdata = data[start:end].hex()
-                if kind <= _TX_EXHAUSTED:  # a tx record opens the next command
-                    seq += 1
-                    # as text once a command, not once a record
-                    seq_s, addr = str(seq), ""
-                    if kind == _TX_SENT:
-                        addr = str(int.from_bytes(data[start + FRAME_LEN:end], "big"))
-                direction, event = _KINDS[kind & _CODE]
-                lines.append(_line(seq_s, direction, addr, event, hexdata))
-        text = "\n".join(lines)
+        text = "\n".join(self._lines())
         # bytes: text mode writes "\r\n" on Windows, which load refuses
         Path(path).write_bytes(f"{text}\n".encode() if text else b"")
 
     @classmethod
     def load(cls, path) -> "SessionLog":
-        """Read a saved log; ValueError naming ``path:line`` unless
-        ``run_session`` could have written it and ``save`` writes it back
-        byte for byte: command k is a tx ``sent`` line of seq k holding a
-        wire frame with the line's address, then a ch line and, unless the
-        frame was dropped, an rx line with the same seq and address, whose
-        data repeats the line before when dropped or discarded; a last tx
-        ``exhausted`` line has no address and no data."""
+        """Read a saved log; ValueError naming its first faulty ``path:line``
+        unless ``run_session`` could have written it: command k is a tx
+        ``sent`` line holding a wire frame, a ch line and, unless the frame
+        was dropped, an rx line whose data fits its event, and a tx
+        ``exhausted`` line ends the file.  ``save`` must write the replayed
+        log back byte for byte, which fixes each seq, address and repeat."""
         log, lines = cls(), _lines(path)
         # The line due next: command k's tx, ch or rx line, or None after
-        # "exhausted"; and the open command's address and _command arguments.
-        k, due, address_field, args, lineno = 0, "tx", None, [], 0
+        # "exhausted"; and the open command's _command arguments.
+        k, due, args, lineno, fault = 0, "tx", [], 0, None
         try:
             for lineno, line in enumerate(lines, start=1):
                 try:
                     seq_s, direction, addr_s, event, hexdata = line.split(",")
-                    seq, data = int(seq_s), bytes.fromhex(hexdata)
-                    address = int(addr_s) if addr_s else None
+                    int(seq_s), int(addr_s or "0")  # each an integer, or ValueError
+                    data = bytes.fromhex(hexdata)
                 except ValueError:
                     raise ValueError("expected 'seq,direction,address,event,hexdata'") from None
                 kind = _KIND.get((direction, event))
@@ -288,43 +286,46 @@ class SessionLog:
                     if direction not in {"tx", "ch", "rx"}:
                         raise ValueError(f"unknown direction {direction!r}")
                     raise ValueError(f"unknown {direction} event {event!r}")
-                canonical = _line(seq, direction, "" if address is None else address,
-                                  event, data.hex())
-                if line != canonical:
-                    raise ValueError(f"not in the form save writes: {canonical!r}")
                 if direction != due:
                     expected = f"command {k}'s {due} line" if due else "nothing after 'exhausted'"
                     raise ValueError(f"expected {expected}, not {direction}")
-                if seq != k:
-                    raise ValueError(f"seq {seq} is not the command's index {k}")
                 if kind == _TX_SENT:
                     if len(data) != WIRE_LEN:
                         raise ValueError(f"sent data is {len(data)} bytes, not {WIRE_LEN}")
-                    address_field = int.from_bytes(data[FRAME_LEN:], "big")
                     args, due = [data], "ch"
                 elif kind == _TX_EXHAUSTED:
-                    if address is not None or data:
-                        raise ValueError("an exhausted line has no address and no data")
-                    address_field, due = None, None
                     log._exhausted()
-                if address != address_field:
-                    raise ValueError(f"address {addr_s or 'none'} is not the "
-                                     f"frame's address {address_field}")
-                if direction != "tx":
-                    repeats = kind == _CH["dropped"] or event.startswith("discarded")
-                    if repeats and data != args[-1]:
-                        raise ValueError(f"{event} data is not the data on the line before")
-                    args += (kind, None if repeats else data)
-                    if direction == "ch" and kind != _CH["dropped"]:
-                        due = "rx"
-                    else:
-                        log._command(*args)
-                        k, due = k + 1, "tx"
+                    due = None
+                elif direction == "ch" and kind != _CH["dropped"]:
+                    args += (kind, data)
+                    due = "rx"
+                else:
+                    if kind == _RX_ACCEPTED:
+                        try:
+                            CommandFrame(data)
+                        except (BadLength, ValueError):
+                            raise ValueError("accepted data is not a command frame") from None
+                    elif direction == "rx" and ((kind == _RX_DISCARDED["bad_length"])
+                                                == (len(data) == WIRE_LEN)):
+                        # a frame is discarded for its length exactly when it is not 36 bytes
+                        raise ValueError(f"{event} data is {len(data)} bytes")
+                    # a dropped or discarded record repeats the data before it
+                    log._command(*args, kind, data if kind == _RX_ACCEPTED else None)
+                    args, k, due = [], k + 1, "tx"
+            lineno += 1
             if due in ("ch", "rx"):
-                lineno += 1
                 raise ValueError(f"expected command {k}'s {due} line, not the end of the file")
         except ValueError as e:
-            raise ValueError(f"{path}:{lineno}: {e}") from None
+            fault = e
+        if args:  # the open command's tx line, and its ch line if read
+            log._command(*args) if len(args) == 3 else log._command(args[0], _CH["dropped"], None)
+        # A line before the fault, or any line if none, that save writes otherwise is named.
+        read, written = lines[:lineno - 1], log._lines()[:lineno - 1]
+        if read != written:
+            n = next(n for n, (r, w) in enumerate(zip(read, written)) if r != w)
+            raise ValueError(f"{path}:{n + 1}: not in the form save writes: {written[n]!r}")
+        if fault is not None:
+            raise ValueError(f"{path}:{lineno}: {fault}")
         return log
 
     def __len__(self) -> int:
@@ -337,10 +338,7 @@ class SessionLog:
         # One writer lays equal record sequences out identically.
         if not isinstance(other, SessionLog):
             return NotImplemented
-        return self._columns() == other._columns()
-
-    def _columns(self) -> tuple:
-        return self._kind, self._length, self._data
+        return (self._kind, self._length, self._data) == (other._kind, other._length, other._data)
 
 
 def run_session(controller: Controller, controlee: Controlee, script,

@@ -43,6 +43,14 @@ def test_probabilities_are_validated():
         ChannelConfig(tamper_prob=-0.1)
 
 
+def test_negative_seed_is_refused():
+    # random.Random(-5) draws what random.Random(5) draws, so a negative
+    # seed would name no schedule of its own.
+    with pytest.raises(ValueError, match=r"^rng_seed must be non-negative, got -5$"):
+        ChannelConfig(rng_seed=-5)
+    ChannelConfig(rng_seed=0)
+
+
 def test_drop_count_matches_binomial_bound():
     ch = Channel(ChannelConfig(loss_prob=0.2, rng_seed=5))
     drops = sum(ch.transmit(_wire(i)).outcome is Delivery.DROPPED

@@ -110,6 +110,18 @@ def test_simulate_is_deterministic(tmp_path):
     assert logs[0] == logs[1]
 
 
+@pytest.mark.parametrize("command, out", [("simulate", []),
+                                          ("intercept-export", ["--out", "c.bin"])])
+def test_negative_channel_seed_is_usage_error(tmp_path, capsys, command, out):
+    # random.Random seeds with abs(): --seed -1 would fly --seed 1's schedule
+    a, b = _charge(tmp_path)
+    script = _script(tmp_path, ["Connection"])
+    assert run([command, "--controller", str(a), "--controlee", str(b),
+                "--script", str(script), "--seed", "-1", *out]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"otp-remctl {command}: error: argument --seed: must be non-negative, got -1")
+
+
 def test_simulate_unknown_command_is_runtime_error(tmp_path, capsys):
     a, b = _charge(tmp_path)
     script = _script(tmp_path, ["Hover"])

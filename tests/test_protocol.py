@@ -551,6 +551,10 @@ def _set(lines, k, field, value) -> list[str]:
     return [*lines[:k], ",".join(fields), *lines[k + 1:]]
 
 
+# The error for a line that save would write otherwise: the flight's own line.
+_SAVED = None
+
+
 # Each is a file that run_session could not have written: an edit of the
 # flight's lines, the line the loader names, and its error.
 @pytest.mark.parametrize("edit, lineno, error", [
@@ -569,44 +573,45 @@ def _set(lines, k, field, value) -> list[str]:
                  "expected nothing after 'exhausted', not tx", id="second-exhausted"),
     pytest.param(lambda f: [*f[:3], "1,tx,,exhausted,", *f[3:]], 5,
                  "expected nothing after 'exhausted', not tx", id="exhausted-mid-flight"),
-    pytest.param(lambda f: _set(f, 17, 2, "6"), 18,
-                 "an exhausted line has no address and no data", id="exhausted-with-address"),
-    pytest.param(lambda f: _set(f, 17, 4, "00"), 18,
-                 "an exhausted line has no address and no data", id="exhausted-with-data"),
-    pytest.param(lambda f: _set(f, 3, 0, "2"), 4, "seq 2 is not the command's index 1",
-                 id="seq-of-a-tx-line"),
-    pytest.param(lambda f: _set(f, 1, 0, "1"), 2, "seq 1 is not the command's index 0",
-                 id="seq-of-a-ch-line"),
-    pytest.param(lambda f: _set(f, 2, 0, "1"), 3, "seq 1 is not the command's index 0",
-                 id="seq-of-an-rx-line"),
-    pytest.param(lambda f: _set(f, 17, 0, "7"), 18, "seq 7 is not the command's index 6",
-                 id="seq-of-exhausted"),
-    pytest.param(lambda f: _set(f, 1, 0, "-1"), 2, "seq -1 is not the command's index 0",
-                 id="seq-negative"),
-    pytest.param(lambda f: _set(f, 1, 0, str(2 ** 63)), 2,
-                 f"seq {2 ** 63} is not the command's index 0", id="seq-over-int64"),
-    pytest.param(lambda f: _set(f, 3, 2, "0"), 4, "address 0 is not the frame's address 1",
-                 id="address-of-a-sent-line"),
-    pytest.param(lambda f: _set(f, 1, 2, "1"), 2, "address 1 is not the frame's address 0",
-                 id="address-of-a-ch-line"),
-    pytest.param(lambda f: _set(f, 2, 2, "1"), 3, "address 1 is not the frame's address 0",
-                 id="address-of-an-rx-line"),
-    pytest.param(lambda f: _set(f, 4, 2, ""), 5, "address none is not the frame's address 1",
-                 id="address-missing"),
-    pytest.param(lambda f: _set(f, 1, 2, "-1"), 2, "address -1 is not the frame's address 0",
-                 id="address-negative"),
-    pytest.param(lambda f: _set(f, 1, 2, str(MAX_ADDRESS + 1)), 2,
-                 f"address {MAX_ADDRESS + 1} is not the frame's address 0",
+    pytest.param(lambda f: _set(f, 17, 2, "6"), 18, _SAVED, id="exhausted-with-address"),
+    pytest.param(lambda f: _set(f, 17, 4, "00"), 18, _SAVED, id="exhausted-with-data"),
+    pytest.param(lambda f: _set(f, 3, 0, "2"), 4, _SAVED, id="seq-of-a-tx-line"),
+    pytest.param(lambda f: _set(f, 1, 0, "1"), 2, _SAVED, id="seq-of-a-ch-line"),
+    pytest.param(lambda f: _set(f, 2, 0, "1"), 3, _SAVED, id="seq-of-an-rx-line"),
+    pytest.param(lambda f: _set(f, 17, 0, "7"), 18, _SAVED, id="seq-of-exhausted"),
+    pytest.param(lambda f: _set(f, 1, 0, "-1"), 2, _SAVED, id="seq-negative"),
+    pytest.param(lambda f: _set(f, 1, 0, str(2 ** 63)), 2, _SAVED, id="seq-over-int64"),
+    pytest.param(lambda f: _set(f, 3, 2, "0"), 4, _SAVED, id="address-of-a-sent-line"),
+    pytest.param(lambda f: _set(f, 1, 2, "1"), 2, _SAVED, id="address-of-a-ch-line"),
+    pytest.param(lambda f: _set(f, 2, 2, "1"), 3, _SAVED, id="address-of-an-rx-line"),
+    pytest.param(lambda f: _set(f, 4, 2, ""), 5, _SAVED, id="address-missing"),
+    pytest.param(lambda f: _set(f, 1, 2, "-1"), 2, _SAVED, id="address-negative"),
+    pytest.param(lambda f: _set(f, 1, 2, str(MAX_ADDRESS + 1)), 2, _SAVED,
                  id="address-over-32-bits"),
     pytest.param(lambda f: _set(f, 3, 4, f[3][-72:-2]), 4,
                  "sent data is 35 bytes, not 36", id="sent-35-bytes"),
     pytest.param(lambda f: _set(f, 3, 4, f[3][-72:] + "00"), 4,
                  "sent data is 37 bytes, not 36", id="sent-37-bytes"),
-    pytest.param(lambda f: _set(f, 4, 4, f[3][-72:-2] + "00"), 5,
-                 "dropped data is not the data on the line before", id="dropped-data"),
-    pytest.param(lambda f: _set(f, 7, 4, "00"), 8,
-                 "discarded:bad_length data is not the data on the line before",
-                 id="discarded-data"),
+    pytest.param(lambda f: _set(f, 4, 4, f[3][-72:-2] + "00"), 5, _SAVED, id="dropped-data"),
+    pytest.param(lambda f: _set(f, 7, 4, "00"), 8, _SAVED, id="discarded-data"),
+    # the first faulty line is named, also when a later line breaks the
+    # order of lines, and also within the command that line breaks
+    pytest.param(lambda f: _set([*f[:8], *f[9:]], 1, 0, "1"), 2, _SAVED,
+                 id="seq-before-a-missing-tx"),
+    pytest.param(lambda f: _set([*f[:4], *f[5:]], 3, 0, "2"), 4, _SAVED,
+                 id="seq-of-a-tx-line-without-ch"),
+    pytest.param(lambda f: _set([*f[:2], *f[3:]], 1, 2, "1"), 2, _SAVED,
+                 id="address-of-a-ch-line-without-rx"),
+    # rx lines whose data contradicts their event (a discard's ch line
+    # holds the same data, so only the rx line is at fault)
+    pytest.param(lambda f: _set(f, 2, 4, "00"), 3, "accepted data is not a command frame",
+                 id="accepted-short"),
+    pytest.param(lambda f: _set(f, 2, 4, "00" * 32), 3, "accepted data is not a command frame",
+                 id="accepted-without-header"),
+    pytest.param(lambda f: _set(_set(f, 6, 4, f[5][-72:]), 7, 4, f[5][-72:]), 8,
+                 "discarded:bad_length data is 36 bytes", id="bad-length-of-a-wire-frame"),
+    pytest.param(lambda f: _set(_set(f, 9, 4, f[8][-72:-2]), 10, 4, f[8][-72:-2]), 11,
+                 "discarded:replay_or_stale data is 35 bytes", id="stale-of-35-bytes"),
     pytest.param(lambda f: f[:1], 2, "expected command 0's ch line, not the end of the file",
                  id="open-after-tx"),
     pytest.param(lambda f: f[:2], 3, "expected command 0's rx line, not the end of the file",
@@ -614,9 +619,48 @@ def _set(lines, k, field, value) -> list[str]:
 ])
 def test_session_log_refuses_what_run_session_cannot_write(tmp_path, edit, lineno, error):
     p = tmp_path / "s.log"
-    _write(p, edit(_flight_lines()))
+    flight = _flight_lines()
+    if error is _SAVED:
+        error = f"not in the form save writes: {flight[lineno - 1]!r}"
+    _write(p, edit(flight))
     with pytest.raises(ValueError, match=rf"s\.log:{lineno}: {re.escape(error)}$"):
         SessionLog.load(p)
+
+
+# Characters an edit may put in a saved log: its own alphabet, and what
+# save never writes (upper-case hex, signs, spaces, "\r", a non-ASCII byte).
+_EDIT_CHARS = st.sampled_from("0123456789abcdefABCDEF,\n\r +-_:txchrsendpulogv\xff")
+
+
+@given(_FLIGHTS, st.data())
+@settings(max_examples=60, deadline=None)
+def test_session_log_load_refuses_or_writes_back_an_edited_log(flight, data):
+    # The loader's one rule: a file it reads is one save writes back.
+    lines = _render(_fly(*flight)[1]).splitlines(keepends=True)
+    if lines:
+        k = data.draw(st.integers(0, len(lines) - 1))
+        edit = data.draw(st.sampled_from(["char", "delete", "duplicate", "swap"]))
+        if edit == "char":
+            text = "".join(lines)
+            at = data.draw(st.integers(0, len(text) - 1))
+            lines = [text[:at], data.draw(_EDIT_CHARS), text[at + 1:]]
+        elif edit == "delete":
+            del lines[k]
+        elif edit == "duplicate":
+            lines.insert(k, lines[k])
+        elif k + 1 < len(lines):
+            lines[k:k + 2] = lines[k + 1], lines[k]
+    edited = "".join(lines).encode("latin-1")
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "s.log"
+        path.write_bytes(edited)
+        try:
+            log = SessionLog.load(path)
+        except ValueError as e:
+            assert re.match(rf"{re.escape(str(path))}:[1-9][0-9]*: ", str(e))
+        else:
+            log.save(path)
+            assert path.read_bytes() == edited
 
 
 def test_run_session_hashes_no_enum_member(monkeypatch):
