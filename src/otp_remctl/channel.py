@@ -3,6 +3,9 @@
 Every transmitted frame lands in the tap's intercept log exactly as sent,
 whatever happens to it on the link, together with that outcome.  Delivery
 is in order; there is no duplication or reordering.
+
+The ``.idx`` sidecar and the session log are text files written by
+``_write_lines``, and read back only if their writer writes them again.
 """
 
 import enum
@@ -80,11 +83,12 @@ class InterceptLog:
 
     The log is columnar: the frames sit back to back in one bytearray,
     frame k at offset ``36*k``, and array columns hold each frame's seq
-    and outcome code.  Every frame is a 36-byte wire frame, every seq
-    fits in int64 and every outcome is a Delivery or None; anything else
-    raises ValueError and leaves the log as it was.  Intercepts are built
-    only when the log is iterated, and ``records`` is a new list on each
-    access; ``frames()`` and ``outcomes()`` are the cheap reads.
+    and outcome code.  ``InterceptLog(records)`` raises ValueError unless
+    every frame is a 36-byte wire frame, every seq fits in int64 and every
+    outcome is a Delivery or None; then only ``Channel.transmit`` adds
+    rows, through ``_add``.  Intercepts are built only when the log is
+    iterated, and ``records`` is a new list on each access; ``frames()``
+    and ``outcomes()`` are the cheap reads.
     """
 
     def __init__(self, records=()) -> None:
@@ -92,18 +96,14 @@ class InterceptLog:
         self._seq = array("q")
         self._outcome = array("B")
         for record in records:
-            self.append(record)
-
-    def append(self, record: Intercept) -> None:
-        seq, outcome = record.seq, record.outcome
-        if not -2 ** 63 <= seq < 2 ** 63:
-            raise ValueError(f"seq {seq} is outside {-2 ** 63}..{2 ** 63 - 1}")
-        if outcome is not None and not isinstance(outcome, Delivery):
-            raise ValueError(f"unknown outcome {outcome!r}")
-        frame = bytes(record.frame)
-        if len(frame) != WIRE_LEN:
-            raise _width_error(frame)
-        self._add(seq, frame, _CODE[outcome])
+            seq, outcome, frame = record.seq, record.outcome, bytes(record.frame)
+            if not -2 ** 63 <= seq < 2 ** 63:
+                raise ValueError(f"seq {seq} is outside {-2 ** 63}..{2 ** 63 - 1}")
+            if outcome is not None and not isinstance(outcome, Delivery):
+                raise ValueError(f"unknown outcome {outcome!r}")
+            if len(frame) != WIRE_LEN:
+                raise _width_error(frame)
+            self._add(seq, frame, _CODE[outcome])
 
     def _add(self, seq: int, frame: bytes, code: int) -> None:
         """Append one row whose frame is already known to be 36 bytes."""
@@ -176,83 +176,91 @@ class Channel:
         return bytes(mutated)
 
 
-def export_intercepts(log: InterceptLog, path) -> None:
-    """Write the corpus (concatenated frames) plus a ``.idx`` sidecar.
-
-    Sidecar lines are ``seq,offset,outcome``, one per frame, frame k at
-    offset ``36*k``.
-    """
-    sidecar = "\n".join(f"{seq},{WIRE_LEN * k},{_FIELDS[code]}"
-                        for k, (seq, code) in enumerate(zip(log._seq, log._outcome)))
-    path = Path(path)
-    path.write_bytes(log._frames)
-    # bytes: text mode writes "\r\n" on Windows, which load_intercepts refuses
-    Path(str(path) + ".idx").write_bytes(f"{sidecar}\n".encode() if sidecar else b"")
-
-
-def load_intercepts(path) -> InterceptLog:
-    """Re-read a corpus written by export_intercepts.
-
-    The ``.idx`` sidecar, when present, must hold exactly one line per
-    frame, line k giving offset ``36*k``; without it frame k gets seq k
-    and no outcome.
-    """
-    path = Path(path)
-    blob = path.read_bytes()
-    if len(blob) % WIRE_LEN:
-        raise ValueError(f"{path}: length {len(blob)} is not a multiple of {WIRE_LEN}")
-    count = len(blob) // WIRE_LEN
-    log = InterceptLog()
-    log._frames = bytearray(blob)
-    sidecar = Path(str(path) + ".idx")
-    if sidecar.exists():
-        log._seq, log._outcome = _read_sidecar(sidecar, count)
-    else:
-        log._seq, log._outcome = array("q", range(count)), array("B", bytes(count))
-    return log
-
-
 def _lines(path) -> list[str]:
     """A file's lines, each byte read as one latin-1 character and split only
-    on "\n", so a "\r" or a byte that is not ASCII is left for the caller's
-    exact check; ValueError naming ``path:line`` unless it ends in a newline."""
+    on "\n", so a "\r" or a byte that is not ASCII is left for the write-back
+    check; ValueError naming ``path:line`` unless it ends in a newline."""
     lines = Path(path).read_bytes().decode("latin-1").split("\n")
     if lines.pop():
         raise ValueError(f"{path}:{len(lines) + 1}: no newline at the end of the file")
     return lines
 
 
-def _read_sidecar(sidecar: Path, count: int) -> tuple[array, array]:
-    """The seq and outcome-code columns of a sidecar with one line per frame,
-    each exactly as export_intercepts writes it."""
+def _write_lines(path, lines) -> None:
+    """Write each line (none empty) and "\n" as bytes: text mode writes "\r\n" on Windows."""
+    text = "\n".join(lines)
+    Path(path).write_bytes(f"{text}\n".encode() if text else b"")
+
+
+def _check_written_back(path, read, written, writer: str) -> None:
+    """ValueError naming the first ``read`` line of ``path`` that is not the
+    ``written`` line at its place, as far as the shorter goes; a loader passes
+    the lines before the first it cannot parse, so the first fault is named."""
+    for n, (r, w) in enumerate(zip(read, written), start=1):
+        if r != w:
+            raise ValueError(f"{path}:{n}: not in the form {writer} writes: {w!r}")
+
+
+def _sidecar_lines(seqs, codes):
+    """The ``.idx`` lines of these columns, frame k's at ``36*k``, made as read."""
+    fields, offsets = _FIELDS, range(0, WIRE_LEN * len(seqs), WIRE_LEN)
+    return (f"{seq},{offset},{fields[code]}" for seq, offset, code in zip(seqs, offsets, codes))
+
+
+def export_intercepts(log: InterceptLog, path) -> None:
+    """Write the corpus (concatenated frames) plus a ``.idx`` sidecar."""
+    path = Path(path)
+    path.write_bytes(log._frames)
+    _write_lines(str(path) + ".idx", _sidecar_lines(log._seq, log._outcome))
+
+
+def load_intercepts(path) -> InterceptLog:
+    """Re-read a corpus written by export_intercepts.
+
+    The ``.idx`` sidecar, when present, holds one line per frame, three
+    fields with an int64 seq and a known outcome, that export_intercepts
+    writes back; else ValueError names its first faulty line.  Without a
+    sidecar frame k gets seq k and no outcome.
+    """
+    path, sidecar = Path(path), Path(str(path) + ".idx")
+    blob = path.read_bytes()
+    if len(blob) % WIRE_LEN:
+        raise ValueError(f"{path}: length {len(blob)} is not a multiple of {WIRE_LEN}")
+    count = len(blob) // WIRE_LEN
+    log = InterceptLog()
+    log._frames = bytearray(blob)
+    if not sidecar.exists():
+        log._seq, log._outcome = array("q", range(count)), array("B", bytes(count))
+        return log
     lines = _lines(sidecar)
     if len(lines) > count:
         raise ValueError(f"{sidecar}:{count + 1}: more lines than the {count} frames")
-    seqs, codes = array("q"), array("B")
-    for k, line in enumerate(lines):
-        try:
-            seq_s, offset_s, outcome_s = line.split(",")
-            seq = int(seq_s)
-        except ValueError:
-            raise ValueError(f"{sidecar}:{k + 1}: expected 'seq,offset,outcome'") from None
-        if seq_s != str(seq):
-            raise ValueError(f"{sidecar}:{k + 1}: seq {seq_s!r} is not in the form "
-                             f"export_intercepts writes: '{seq}'")
-        if offset_s != str(k * WIRE_LEN):
-            raise ValueError(
-                f"{sidecar}:{k + 1}: offset {offset_s}, frame {k} is at {k * WIRE_LEN}")
-        code = _FIELD_CODE.get(outcome_s)
-        if code is None:
-            raise ValueError(f"{sidecar}:{k + 1}: unknown outcome {outcome_s!r}")
-        try:
-            seqs.append(seq)
-        except OverflowError:
-            raise ValueError(f"{sidecar}:{k + 1}: seq {seq} does not fit in 64 bits") from None
-        codes.append(code)
+    seqs, codes, field_code, fault = log._seq, log._outcome, _FIELD_CODE, None
+    try:
+        for line in lines:
+            try:
+                seq_s, _, outcome_s = line.split(",")
+                seq = int(seq_s)
+            except ValueError:
+                raise ValueError("expected 'seq,offset,outcome'") from None
+            code = field_code.get(outcome_s)
+            if code is None:
+                raise ValueError(f"unknown outcome {outcome_s!r}")
+            try:
+                seqs.append(seq)
+            except OverflowError:
+                raise ValueError(f"seq {seq} does not fit in 64 bits") from None
+            codes.append(code)
+    except ValueError as e:
+        fault = e
+    # each line read before a fault added one row, so the rows end before it
+    _check_written_back(sidecar, lines, _sidecar_lines(seqs, codes), "export_intercepts")
+    if fault is not None:
+        raise ValueError(f"{sidecar}:{len(codes) + 1}: {fault}")
     if len(lines) < count:
         raise ValueError(f"{sidecar}:{len(lines) + 1}: no line for frame {len(lines)} "
                          f"of {count}")
-    return seqs, codes
+    return log
 
 
 def extract_ciphertext(frames: InterceptLog, mode: CipherMode = CipherMode.FULL) -> bytes:

@@ -59,25 +59,23 @@ def _seed_arg(text):
     return _source_arg(f"seeded:{text}").seed
 
 
-def _positive_int(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
-    return value
+def _number(kind, least, most=float("inf")):
+    """The argparse type of a flag holding a ``kind``, int or float, in
+    least..most (least 0 or 1 when unbounded above); its usage errors name
+    the expected form and the bound, not this function."""
+    form = "an integer" if kind is int else "a number"
+    rule = (f"in [{least}, {most}]" if most < float("inf")
+            else "positive" if least else "non-negative")
 
-
-def _nonneg_int(text):
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
-    return value
-
-
-def _probability(text):
-    value = float(text)
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {value}")
-    return value
+    def parse(text):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {form}, got {text!r}") from None
+        if not least <= value <= most:
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
+        return value
+    return parse
 
 
 def _tests_arg(text):
@@ -310,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-keys", help="dump raw key bytes from an entropy source")
     p.add_argument("--source", required=True, type=_source_arg,
                    help="system | seeded:<u64> | file:<path>")
-    p.add_argument("--bytes", required=True, type=_nonneg_int,
+    p.add_argument("--bytes", required=True, type=_number(int, 0),
                    help="number of bytes to write")
     p.add_argument("--out", required=True, help="output file")
     p.set_defaults(func=_cmd_gen_keys)
@@ -318,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("charge", help="precharge a matched pair of key stores")
     p.add_argument("--source", required=True, type=_source_arg,
                    help="system | seeded:<u64> | file:<path>")
-    p.add_argument("--blocks", required=True, type=_positive_int,
+    p.add_argument("--blocks", required=True, type=_number(int, 1),
                    help="number of key blocks")
     p.add_argument("--mode", choices=("full", "selective"), default="full",
                    help=f"full: {FULL_BLOCK_SIZE}-byte blocks; "
@@ -335,13 +333,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--controlee", required=True, help="controlee store file")
         p.add_argument("--script", required=True,
                        help="command script, one name per line")
-        p.add_argument("--loss", type=_probability, default=0.0,
+        p.add_argument("--loss", type=_number(float, 0, 1), default=0.0,
                        help="frame loss probability")
-        p.add_argument("--tamper", type=_probability, default=0.0,
+        p.add_argument("--tamper", type=_number(float, 0, 1), default=0.0,
                        help="in-flight corruption probability")
         p.add_argument("--tamper-model", choices=("flip", "randomize"),
                        default="flip", help="corruption model")
-        p.add_argument("--seed", type=_nonneg_int, default=0, help="channel seed")
+        p.add_argument("--seed", type=_number(int, 0), default=0, help="channel seed")
         p.add_argument("--registry", default=None,
                        help=f"command registry file (default: ${REGISTRY_ENV} "
                             "or the built-in five commands)")
@@ -364,12 +362,12 @@ def build_parser() -> argparse.ArgumentParser:
                         "ciphered bytes")
     p.add_argument("--tests", type=_tests_arg, default=list(_TEST_TOKENS),
                    help=f"comma-separated subset of {','.join(_TEST_TOKENS)}")
-    p.add_argument("--alpha", type=_probability, default=rt.DEFAULT_ALPHA,
+    p.add_argument("--alpha", type=_number(float, 0, 1), default=rt.DEFAULT_ALPHA,
                    help="significance level for P-value tests")
-    p.add_argument("--split-bits", type=_positive_int, default=None,
+    p.add_argument("--split-bits", type=_number(int, 1), default=None,
                    help="split the input into sequences of this many bits and "
                         "report the pass proportion for freq/runs")
-    p.add_argument("--max-lag", type=_positive_int, default=1000,
+    p.add_argument("--max-lag", type=_number(int, 1), default=1000,
                    help="largest autocorrelation lag")
     p.add_argument("--report", default=None, help="write a CSV report here")
     p.add_argument("--json", default=None, help="write a JSON report here")

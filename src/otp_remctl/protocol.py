@@ -18,9 +18,8 @@ live on different threads and meet only through the channel.
 import enum
 from array import array
 from dataclasses import dataclass
-from pathlib import Path
 
-from .channel import Delivery, _lines
+from .channel import Delivery, _check_written_back, _lines, _write_lines
 from .errors import BadLength, KeyExhausted, OutOfRange
 from .frame import (
     FRAME_LEN,
@@ -234,9 +233,9 @@ class SessionLog:
                 direction, event = _KINDS[kind]
                 yield SessionRecord(seq, direction, address, event, data)
 
-    def _lines(self) -> list[str]:
-        """The lines ``save`` writes, without their newlines."""
-        lines, prev_seq, prev_data = [], None, None
+    def _lines(self):
+        """The lines ``save`` writes, without their newlines, made as read."""
+        prev_seq, prev_data = None, None
         for seq, address, kind, data in self._walk():
             # as text once a command or a stored chunk, not once a record
             if seq != prev_seq:
@@ -244,8 +243,7 @@ class SessionLog:
             if data is not prev_data:
                 prev_data, hexdata = data, data.hex()
             direction, event = _KINDS[kind]
-            lines.append(f"{seq_s},{direction},{addr},{event},{hexdata}")
-        return lines
+            yield f"{seq_s},{direction},{addr},{event},{hexdata}"
 
     @property
     def records(self) -> list[SessionRecord]:
@@ -257,9 +255,7 @@ class SessionLog:
                                 if e == event or e.startswith(event + ":")}))
 
     def save(self, path) -> None:
-        text = "\n".join(self._lines())
-        # bytes: text mode writes "\r\n" on Windows, which load refuses
-        Path(path).write_bytes(f"{text}\n".encode() if text else b"")
+        _write_lines(path, self._lines())
 
     @classmethod
     def load(cls, path) -> "SessionLog":
@@ -319,11 +315,7 @@ class SessionLog:
             fault = e
         if args:  # the open command's tx line, and its ch line if read
             log._command(*args) if len(args) == 3 else log._command(args[0], _CH["dropped"], None)
-        # A line before the fault, or any line if none, that save writes otherwise is named.
-        read, written = lines[:lineno - 1], log._lines()[:lineno - 1]
-        if read != written:
-            n = next(n for n, (r, w) in enumerate(zip(read, written)) if r != w)
-            raise ValueError(f"{path}:{n + 1}: not in the form save writes: {written[n]!r}")
+        _check_written_back(path, lines[:lineno - 1], log._lines(), "save")
         if fault is not None:
             raise ValueError(f"{path}:{lineno}: {fault}")
         return log

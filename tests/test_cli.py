@@ -2,6 +2,7 @@ import gc
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -48,6 +49,30 @@ def test_bad_flag_value_is_usage_error(capsys):
     assert run(["gen-keys", "--source", "quantum", "--bytes", "8",
                 "--out", "x"]) == 1
     assert run(["randtest", "--input", "x", "--tests", "freq,sparkle"]) == 1
+
+
+_SESSION = ["simulate", "--controller", "a", "--controlee", "b", "--script", "s"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([*_SESSION, "--seed", "1.5"], "argument --seed: expected an integer, got '1.5'"),
+    (["charge", "--source", "seeded:1", "--blocks", "x", "--controller", "a",
+      "--controlee", "b"], "argument --blocks: expected an integer, got 'x'"),
+    (["gen-keys", "--source", "seeded:1", "--bytes", "1e3", "--out", "k"],
+     "argument --bytes: expected an integer, got '1e3'"),
+    ([*_SESSION, "--loss", "lots"], "argument --loss: expected a number, got 'lots'"),
+    (["randtest", "--input", "x", "--alpha", "foo"],
+     "argument --alpha: expected a number, got 'foo'"),
+    (["randtest", "--input", "x", "--max-lag", "ten"],
+     "argument --max-lag: expected an integer, got 'ten'"),
+    (["randtest", "--input", "x", "--split-bits", "0x10"],
+     "argument --split-bits: expected an integer, got '0x10'"),
+], ids=["seed", "blocks", "bytes", "loss", "alpha", "max-lag", "split-bits"])
+def test_non_numeric_flag_names_the_expected_form(capsys, argv, message):
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == f"otp-remctl {argv[0]}: error: {message}"
+    assert not re.search(r"(?<!\w)_\w", err), err  # no private helper's name
 
 
 def test_gen_keys_writes_deterministic_file(tmp_path):
