@@ -9,6 +9,7 @@ The ``.idx`` sidecar and the session log are text files written by
 """
 
 import enum
+import operator
 import random
 from array import array
 from dataclasses import dataclass
@@ -84,11 +85,11 @@ class InterceptLog:
     The log is columnar: the frames sit back to back in one bytearray,
     frame k at offset ``36*k``, and array columns hold each frame's seq
     and outcome code.  ``InterceptLog(records)`` raises ValueError unless
-    every frame is a 36-byte wire frame, every seq fits in int64 and every
-    outcome is a Delivery or None; then only ``Channel.transmit`` adds
-    rows, through ``_add``.  Intercepts are built only when the log is
-    iterated, and ``records`` is a new list on each access; ``frames()``
-    and ``outcomes()`` are the cheap reads.
+    every frame is a 36-byte wire frame, every seq is an integer in int64
+    and every outcome is a Delivery or None; then only
+    ``Channel.transmit`` adds rows, through ``_add``.  Intercepts are built
+    only when the log is iterated, and ``records`` is a new list on each
+    access; ``frames()`` and ``outcomes()`` are the cheap reads.
     """
 
     def __init__(self, records=()) -> None:
@@ -96,7 +97,11 @@ class InterceptLog:
         self._seq = array("q")
         self._outcome = array("B")
         for record in records:
-            seq, outcome, frame = record.seq, record.outcome, bytes(record.frame)
+            try:
+                seq = operator.index(record.seq)
+            except TypeError:
+                raise ValueError(f"seq {record.seq!r} is not an integer") from None
+            outcome, frame = record.outcome, bytes(record.frame)
             if not -2 ** 63 <= seq < 2 ** 63:
                 raise ValueError(f"seq {seq} is outside {-2 ** 63}..{2 ** 63 - 1}")
             if outcome is not None and not isinstance(outcome, Delivery):
@@ -127,12 +132,6 @@ class InterceptLog:
 
     def __iter__(self):
         return map(Intercept, self._seq, self.frames(), self.outcomes())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, InterceptLog):
-            return NotImplemented
-        return ((self._seq, self._outcome, self._frames)
-                == (other._seq, other._outcome, other._frames))
 
 
 class Channel:
@@ -264,10 +263,7 @@ def load_intercepts(path) -> InterceptLog:
 
 
 def extract_ciphertext(frames: InterceptLog, mode: CipherMode = CipherMode.FULL) -> bytes:
-    """Concatenate the ciphered bytes of a tap's wire frames, skipping clear fields.
-
-    Full mode keeps the whole 32-byte payload; selective mode keeps only
-    bytes 5..27 of it.
-    """
+    """Concatenate the ciphered bytes of a tap's wire frames, skipping clear fields:
+    ``mode.ciphered`` of each frame's 32-byte payload."""
     wire = np.frombuffer(frames._frames, dtype=np.uint8).reshape(-1, WIRE_LEN)
     return wire[:, mode.ciphered].tobytes()

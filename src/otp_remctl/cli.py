@@ -25,8 +25,8 @@ from .channel import Channel, ChannelConfig, Delivery, TamperModel, \
     export_intercepts, extract_ciphertext, load_intercepts
 from .entropy import SeededSource, make_source
 from .errors import OtpRemctlError
-from .frame import FRAME_LEN, FULL_BLOCK_SIZE, SELECTIVE_BLOCK_SIZE, CipherMode, \
-    CommandRegistry, standard_registry
+from .frame import FRAME_LEN, FULL_BLOCK_SIZE, CipherMode, CommandRegistry, \
+    standard_registry
 from .keystore import SksStore, charge
 from .protocol import Controlee, Controller, run_session
 from . import randtest as rt
@@ -167,7 +167,7 @@ def _load_test_bytes(args) -> bytes:
         return data
     # A corpus is 36-byte wire frames; strip the clear fields so only
     # ciphered bytes are tested.
-    mode = CipherMode.FULL if args.format == "corpus-full" else CipherMode.SELECTIVE
+    mode = CipherMode(args.format.removeprefix("corpus-"))
     return extract_ciphertext(load_intercepts(args.input), mode)
 
 
@@ -318,9 +318,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="system | seeded:<u64> | file:<path>")
     p.add_argument("--blocks", required=True, type=_number(int, 1),
                    help="number of key blocks")
-    p.add_argument("--mode", choices=("full", "selective"), default="full",
-                   help=f"full: {FULL_BLOCK_SIZE}-byte blocks; "
-                        f"selective: {SELECTIVE_BLOCK_SIZE}-byte blocks")
+    p.add_argument("--mode", choices=[m.value for m in CipherMode],
+                   default=CipherMode.FULL.value,
+                   help="; ".join(f"{m.value}: {m.key_length}-byte blocks"
+                                  for m in CipherMode))
     p.add_argument("--controller", required=True, help="controller store file")
     p.add_argument("--controlee", required=True, help="controlee store file")
     p.set_defaults(func=_cmd_charge)
@@ -356,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("randtest", help="statistical randomness checks on a byte file")
     p.add_argument("--input", required=True, help="input file")
-    p.add_argument("--format", choices=("raw", "corpus-full", "corpus-selective"),
+    p.add_argument("--format", choices=["raw", *(f"corpus-{m.value}" for m in CipherMode)],
                    default="raw",
                    help="raw bytes, or an intercept corpus stripped to its "
                         "ciphered bytes")

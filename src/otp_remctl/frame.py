@@ -29,31 +29,35 @@ CHANNEL_COUNT = 7
 CHANNEL_SLICE = slice(5, 19)
 AUX_SLICE = slice(19, 28)
 TRAILER_SLICE = slice(28, 32)
-SELECTIVE_SLICE = slice(5, 28)
 
-# The pad geometry follows from the wire format: one key block per frame,
-# as long as the region its cipher mode XORs, addressed by ADDRESS_LEN bytes.
+# One key block per frame, addressed by ADDRESS_LEN bytes; a block is as
+# long as the region its cipher mode XORs (CipherMode.key_length).
 MAX_ADDRESS = 2 ** (8 * ADDRESS_LEN) - 1
-FULL_BLOCK_SIZE = FRAME_LEN
-SELECTIVE_BLOCK_SIZE = SELECTIVE_SLICE.stop - SELECTIVE_SLICE.start
 
 _CHANNELS = struct.Struct("<7H")
 
 
 class CipherMode(enum.Enum):
-    """Which payload bytes get XORed with key material."""
+    """Which payload bytes get XORed with key material: one row per mode,
+    its name and its ciphered slice of the 32-byte payload."""
 
-    FULL = "full"
-    SELECTIVE = "selective"
+    FULL = "full", slice(0, FRAME_LEN)
+    SELECTIVE = "selective", slice(5, 28)
 
-    @property
-    def key_length(self) -> int:
-        return FULL_BLOCK_SIZE if self is CipherMode.FULL else SELECTIVE_BLOCK_SIZE
-
-    @property
-    def ciphered(self) -> slice:
-        """The payload bytes this mode XORs with key material."""
-        return slice(0, FRAME_LEN) if self is CipherMode.FULL else SELECTIVE_SLICE
+    def __new__(cls, name: str, ciphered: slice) -> "CipherMode":
+        # Plain attributes set from the row: ``ciphered``; ``key_length``,
+        # its byte count; and ``_pad``, (key length, shift), where the key
+        # shifted left by the count of clear bits after the ciphered region
+        # lines up with that region of the payload read as one big-endian
+        # int, with zeros over the clear bytes.  Not a dict keyed by the
+        # mode: Enum.__hash__ is a Python function, and the pad runs twice a
+        # command.
+        mode = object.__new__(cls)
+        mode._value_ = name
+        mode.ciphered = ciphered
+        mode.key_length = ciphered.stop - ciphered.start
+        mode._pad = (mode.key_length, 8 * (FRAME_LEN - ciphered.stop))
+        return mode
 
     @classmethod
     def for_block_size(cls, block_size: int) -> "CipherMode":
@@ -63,15 +67,8 @@ class CipherMode(enum.Enum):
         raise ValueError(f"no cipher mode uses {block_size}-byte key blocks")
 
 
-# Each mode carries its pad geometry as a plain attribute, ``_pad``: (key
-# length, shift), where its key shifted left by the count of clear bits
-# after its ciphered region lines up with that region of the payload read
-# as one big-endian int, with zeros over the clear bytes.  An attribute and
-# not a dict keyed by the mode: Enum.__hash__ is a Python function, and the
-# pad runs twice a command.
-for _mode in CipherMode:
-    _mode._pad = (_mode.key_length, 8 * (FRAME_LEN - _mode.ciphered.stop))
-del _mode
+FULL_BLOCK_SIZE = CipherMode.FULL.key_length
+SELECTIVE_BLOCK_SIZE = CipherMode.SELECTIVE.key_length
 
 
 @dataclass(frozen=True)
@@ -218,12 +215,9 @@ class CommandRegistry:
     no leading ``#`` and no ``:``.
     """
 
-    def __init__(self, commands=None) -> None:
+    def __init__(self) -> None:
         self._frames: dict[str, CommandFrame] = {}
         self._by_bytes: dict[bytes, str] = {}
-        if commands:
-            for name, frame in commands:
-                self.add(name, frame)
 
     def add(self, name: str, frame: CommandFrame) -> None:
         if not isinstance(frame, CommandFrame):

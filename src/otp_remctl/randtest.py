@@ -25,7 +25,6 @@ from .errors import LagOutOfRange, TooShort
 
 # Smallest sequence the NIST-style tests accept: SP 800-22 asks for 100
 # bits, below which the normal approximations behind the P-values are poor.
-# One unit test lowers it to check the runs statistic on a hand-worked input.
 MIN_TEST_BITS = 100
 
 DEFAULT_ALPHA = 0.01

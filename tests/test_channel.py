@@ -129,7 +129,11 @@ def test_tap_holds_only_wire_frames(length):
     (Intercept(-2 ** 63 - 1, _wire(1)), f"^seq {-2 ** 63 - 1} is outside"),
     (Intercept(1, _wire(1), "delivered"), "^unknown outcome 'delivered'$"),
     (Intercept(1, _wire(1), 1), "^unknown outcome 1$"),
-], ids=["seq-over-int64", "seq-under-int64", "outcome-string", "outcome-code"])
+    (Intercept(1.5, _wire(1)), "^seq 1.5 is not an integer$"),
+    (Intercept("7", _wire(1)), "^seq '7' is not an integer$"),
+    (Intercept(None, _wire(1)), "^seq None is not an integer$"),
+], ids=["seq-over-int64", "seq-under-int64", "outcome-string", "outcome-code",
+        "seq-float", "seq-string", "seq-none"])
 def test_tap_append_refuses_a_bad_record(bad, message):
     # A tap grows only by Channel.transmit; InterceptLog(records) checks each record.
     good = Intercept(0, _wire(0), Delivery.DELIVERED)

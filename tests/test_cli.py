@@ -75,6 +75,17 @@ def test_non_numeric_flag_names_the_expected_form(capsys, argv, message):
     assert not re.search(r"(?<!\w)_\w", err), err  # no private helper's name
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["randtest", "--input", "x", "--tests", ","], "argument --tests: no tests named"),
+    (["gen-keys", "--source", "foo:bar", "--bytes", "8", "--out", "k"],
+     "argument --source: unknown source kind 'foo'"),
+], ids=["tests-none", "source-kind"])
+def test_bad_flag_names_the_fault(capsys, argv, message):
+    assert run(argv) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"otp-remctl {argv[0]}: error: {message}")
+
+
 def test_gen_keys_writes_deterministic_file(tmp_path):
     p1, p2 = tmp_path / "k1.bin", tmp_path / "k2.bin"
     assert run(["gen-keys", "--source", "seeded:9", "--bytes", "4096",
@@ -145,6 +156,17 @@ def test_negative_channel_seed_is_usage_error(tmp_path, capsys, command, out):
                 "--script", str(script), "--seed", "-1", *out]) == 1
     assert capsys.readouterr().err.splitlines()[-1] == (
         f"otp-remctl {command}: error: argument --seed: must be non-negative, got -1")
+
+
+def test_script_skips_comments_and_blank_lines(tmp_path):
+    a, b = _charge(tmp_path)
+    script = tmp_path / "commented.cmds"
+    script.write_text("# preflight\n\nConnection\n  # turn next\n\nForward\n")
+    argv = ["simulate", "--controller", str(a), "--controlee", str(b)]
+    assert run([*argv, "--script", str(script), "--log", str(tmp_path / "c.log")]) == 0
+    plain = _script(tmp_path, ["Connection", "Forward"])
+    assert run([*argv, "--script", str(plain), "--log", str(tmp_path / "p.log")]) == 0
+    assert (tmp_path / "c.log").read_bytes() == (tmp_path / "p.log").read_bytes()
 
 
 def test_simulate_unknown_command_is_runtime_error(tmp_path, capsys):
@@ -306,6 +328,13 @@ def test_randtest_split_larger_than_input_is_runtime_error(tmp_path):
     p.write_bytes(bytes(64))
     assert run(["randtest", "--input", str(p), "--tests", "freq",
                 "--split-bits", "100000"]) == 2
+
+
+def test_randtest_empty_input_is_runtime_error(tmp_path, capsys):
+    p = tmp_path / "empty.bin"
+    p.write_bytes(b"")
+    assert run(["randtest", "--input", str(p)]) == 2
+    assert capsys.readouterr().err == f"error: {p}: no bytes to test\n"
 
 
 def test_randtest_json_and_autocorr_outputs(tmp_path):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from otp_remctl import randtest as rt
 from otp_remctl.entropy import SeededSource
 from otp_remctl.errors import LagOutOfRange, TooShort
 from otp_remctl.randtest import (
@@ -87,12 +86,16 @@ def test_runs_alternating_fails():
     assert r.p_value < 1e-9 and not r.passed
 
 
-def test_runs_hand_oracle_permissive(monkeypatch):
-    monkeypatch.setattr(rt, "MIN_TEST_BITS", 10)
-    seq = BitSequence([1, 0, 0, 1, 1, 0, 1, 0, 1, 1])
+def test_runs_nist_example():
+    # NIST SP 800-22 Rev. 1a, section 2.3.8: the first 100 bits of the
+    # binary expansion of pi have 42 ones, V = 52 and P-value = 0.500798.
+    seq = BitSequence([int(c) for c in
+                       "11001001000011111101101010100010001000010110100011"
+                       "00001000110100110001001100011001100010100010111000"])
+    assert int(seq.bits.sum()) == 42
     r = nist_runs(seq)
-    assert r.statistic == 7.0
-    assert r.p_value == pytest.approx(0.1472, abs=5e-4)
+    assert r.statistic == 52.0
+    assert r.p_value == pytest.approx(0.500798, abs=5e-7)
 
 
 def test_runs_not_applicable_when_biased():
