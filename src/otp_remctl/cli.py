@@ -60,11 +60,11 @@ def _seed_arg(text):
 
 
 def _number(kind, least, most=float("inf")):
-    """The argparse type of a flag holding a ``kind``, int or float, in
-    least..most (least 0 or 1 when unbounded above); its usage errors name
-    the expected form and the bound, not this function."""
+    """The argparse type of a flag holding an int or float ``kind`` in
+    least..most; its usage errors name the form and bound, not this function."""
     form = "an integer" if kind is int else "a number"
     rule = (f"in [{least}, {most}]" if most < float("inf")
+            else f"at least {least}" if least > 1
             else "positive" if least else "non-negative")
 
     def parse(text):
@@ -365,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"comma-separated subset of {','.join(_TEST_TOKENS)}")
     p.add_argument("--alpha", type=_number(float, 0, 1), default=rt.DEFAULT_ALPHA,
                    help="significance level for P-value tests")
-    p.add_argument("--split-bits", type=_number(int, 1), default=None,
+    p.add_argument("--split-bits", type=_number(int, rt.MIN_TEST_BITS), default=None,
                    help="split the input into sequences of this many bits and "
                         "report the pass proportion for freq/runs")
     p.add_argument("--max-lag", type=_number(int, 1), default=1000,

@@ -100,8 +100,8 @@ def monobit_frequency(seq: BitSequence, alpha: float = DEFAULT_ALPHA) -> TestRes
 
 
 def count_runs(seq: BitSequence) -> int:
-    """Number of maximal same-bit blocks, counted in one pass."""
-    return int(np.count_nonzero(np.diff(seq.bits))) + 1
+    """Number of maximal same-bit blocks; each bit unlike the one before starts one."""
+    return int(np.count_nonzero(seq.bits[1:] != seq.bits[:-1])) + 1
 
 
 def nist_runs(seq: BitSequence, alpha: float = DEFAULT_ALPHA) -> TestResult:
@@ -150,12 +150,12 @@ def golomb_balance(seq: BitSequence) -> BalanceResult:
 
 
 def run_length_histogram(seq: BitSequence) -> dict:
-    """Histogram {run length: count} over all maximal runs."""
+    """Histogram {run length: count} over all maximal runs, which start
+    where count_runs counts them.  The starts are found on a bool mask:
+    np.flatnonzero over bools is several times faster than over uint8."""
     bits = seq.bits
-    change = np.flatnonzero(np.diff(bits)) + 1
-    edges = np.concatenate(([0], change, [bits.size]))
-    lengths = np.diff(edges)
-    counts = np.bincount(lengths)
+    edges = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1], [True])))
+    counts = np.bincount(np.diff(edges))
     return {int(length): int(c) for length, c in enumerate(counts) if c}
 
 

@@ -79,7 +79,9 @@ def test_non_numeric_flag_names_the_expected_form(capsys, argv, message):
     (["randtest", "--input", "x", "--tests", ","], "argument --tests: no tests named"),
     (["gen-keys", "--source", "foo:bar", "--bytes", "8", "--out", "k"],
      "argument --source: unknown source kind 'foo'"),
-], ids=["tests-none", "source-kind"])
+    (["randtest", "--input", "x", "--split-bits", "50"],
+     "argument --split-bits: must be at least 100, got 50"),
+], ids=["tests-none", "source-kind", "split-bits-short"])
 def test_bad_flag_names_the_fault(capsys, argv, message):
     assert run(argv) == 1
     assert capsys.readouterr().err.splitlines()[-1] == (
@@ -328,6 +330,21 @@ def test_randtest_split_larger_than_input_is_runtime_error(tmp_path):
     p.write_bytes(bytes(64))
     assert run(["randtest", "--input", str(p), "--tests", "freq",
                 "--split-bits", "100000"]) == 2
+
+
+def test_randtest_split_bits_least_is_the_shortest_testable_sequence(tmp_path, capsys):
+    keys = tmp_path / "keys.bin"
+    assert run(["gen-keys", "--source", "seeded:42", "--bytes", "125",
+                "--out", str(keys)]) == 0
+    argv = ["randtest", "--input", str(keys), "--tests", "freq,runs", "--split-bits"]
+    assert run([*argv, str(rt.MIN_TEST_BITS - 1)]) == 1
+    capsys.readouterr()
+    assert run([*argv, str(rt.MIN_TEST_BITS)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "frequency : 10/10 sequences passed (proportion 1.0000, acceptance >= 0.8956) pass",
+        "runs      : 10/10 sequences passed (proportion 1.0000, acceptance >= 0.8956) pass",
+        "all 2 checks passed",
+    ]
 
 
 def test_randtest_empty_input_is_runtime_error(tmp_path, capsys):

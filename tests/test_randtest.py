@@ -1,4 +1,6 @@
+import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -163,6 +165,45 @@ def test_run_length_seeded_stream_passes():
     assert r.geometric_ok
     assert r.max_checked == int(math.log2(r.total_runs)) - 2
     assert sum(r.histogram.values()) == r.total_runs
+
+
+def _check_histogram_is_exact(raw):
+    """run_length_histogram against a pure-Python groupby, key order included."""
+    seq = BitSequence(raw)
+    histogram = run_length_histogram(seq)
+    reference = Counter(len(list(run)) for _, run in itertools.groupby(raw))
+    assert list(histogram.items()) == sorted(reference.items())
+    assert sum(histogram.values()) == count_runs(seq)
+    assert sum(length * c for length, c in histogram.items()) == seq.n
+
+
+@st.composite
+def _bit_lists(draw):
+    """1..4000 bits: coin flips of a drawn bias, or drawn runs repeated to
+    length (a repeat whose runs number odd merges its first and last run)."""
+    n = draw(st.integers(1, 4000))
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        return (rng.random(n) < draw(st.floats(0, 1))).astype(np.uint8).tolist()
+    lengths = draw(st.lists(st.integers(1, 40), min_size=1, max_size=50))
+    first = draw(st.integers(0, 1))
+    period = [(first + i) % 2 for i, length in enumerate(lengths) for _ in range(length)]
+    return (period * -(-n // len(period)))[:n]
+
+
+@given(_bit_lists())
+@settings(max_examples=150, deadline=None)
+def test_run_length_histogram_equals_groupby_on_drawn_bits(raw):
+    _check_histogram_is_exact(raw)
+
+
+@pytest.mark.parametrize("raw", [
+    [0], [1], [0] * 4000, [1] * 37, [0, 1] * 2000, [1, 0] * 7 + [1],
+    [1] + [0] * 3999, [0] * 3999 + [1], [0] + [1] * 99, [1] * 99 + [0],
+], ids=["one-0", "one-1", "all-0", "all-1", "alternating", "alternating-odd",
+        "first-flipped", "last-flipped", "first-flipped-short", "last-flipped-short"])
+def test_run_length_histogram_equals_groupby_on_edge_cases(raw):
+    _check_histogram_is_exact(raw)
 
 
 def test_autocorrelation_normalization():
