@@ -192,7 +192,7 @@ def _cmd_randtest(args) -> int:
             failures += 1
 
     split = args.split_bits
-    if split:
+    if split and not _SPLIT_TESTS.keys().isdisjoint(args.tests):
         m = bits.n // split
         if m < 1:
             raise ValueError(

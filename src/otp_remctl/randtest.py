@@ -5,10 +5,10 @@ the three classical binary-sequence postulates (balance, geometric
 run-length decay, delta-like autocorrelation), and the pass-proportion
 bookkeeping used when a corpus is split into many sequences.
 
-Autocorrelation counts, for each lag, the positions where the sequence
-and its shifted copy differ: bits packed into 64-bit words, XOR and
-popcount (``np.bitwise_count``, NumPy 2.0 or later).  The counts are exact
-integers, so every C(t) is the correctly rounded quotient of the exact sum.
+Autocorrelation counts lag sums exactly: below 512 lags by XOR and popcount
+of packed bits (``np.bitwise_count``, NumPy 2.0 or later), from 512 on by
+one inverse FFT of summed block cross-spectra, rounded.  Either way every
+C(t) is the correctly rounded quotient of the exact sum: the same floats.
 
 Bits are always expanded from bytes MSB-first.  The complementary error
 function is evaluated via ``math.erfc`` (the platform C library), which is
@@ -232,36 +232,76 @@ class AutocorrSeries:
 _WORD_MASKS = np.packbits(np.tri(65, 64, -1, dtype=np.uint8), axis=1).view(np.uint64).ravel()
 
 
+# From this lag count the FFT runs; at 1 Mbit its cost meets the XOR loop's.
+_FFT_MIN_LAG = 512
+_FFT_BATCH = 1 << 15  # samples transformed at once
+_FFT_SPAN = 1 << 20  # samples summed before rounding
+
+
+def _fft_lag_sums(bits: np.ndarray, max_lag: int) -> np.ndarray:
+    """Exact S(t) = sum_i x_i x_{i+t}, t = 0..max_lag, x = 2b - 1, by FFT.
+
+    With B = 2**ceil(log2(max_lag)), block a_k zero-padded to 2B has the
+    spectrum A_k, the window [a_k, a_{k+1}] has A_k + (-1)**f * A_{k+1},
+    and irfft(conj(A_k) times that)[t] is block k's share of S(t).  A span
+    of P = max(2**20, B) samples sums P/B terms of modulus <= 2B**2 before
+    rounding: float64 error ~2*P**2*2**-53, <= 2**-12 at any n if B <= 2**20.
+    """
+    block = 1 << (max_lag - 1).bit_length()
+    step = max(1, _FFT_BATCH // block) * block  # a power of two: spans end on batch ends
+    sign = np.resize([1.0, -1.0], block + 1)  # (-1)**f: a shift by B in 2B
+    x = np.empty(step)
+    sums = np.zeros(max_lag + 1, dtype=np.int64)
+    acc, prev = np.zeros((2, block + 1), dtype=complex)  # prev: the block before
+    for end in range(step, bits.size + step, step):
+        chunk = bits[end - step:end]
+        batch = x[:-(-chunk.size // block) * block]
+        batch[chunk.size:] = 0.0
+        np.multiply(chunk, 2.0, out=batch[:chunk.size])
+        batch[:chunk.size] -= 1.0
+        spec = np.fft.rfft(batch.reshape(-1, block), 2 * block, axis=1)
+        acc += np.einsum("ij,ij->j", spec.view(float), spec.view(float)).reshape(-1, 2).sum(axis=1)
+        acc += sign * ((spec[:-1].conj() * spec[1:]).sum(axis=0) + prev.conj() * spec[0])
+        prev = spec[-1].copy()
+        if end % _FFT_SPAN == 0 or end >= bits.size:
+            sums += np.rint(np.fft.irfft(acc, 2 * block)[:max_lag + 1]).astype(np.int64)
+            acc[:] = 0.0
+    return sums
+
+
 def autocorrelation(seq: BitSequence, max_lag: int) -> AutocorrSeries:
     """C(t) = (1/(n-|t|)) * sum_i x_i x_{i+|t|} with x = 2b - 1.
 
-    With D(t) the number of positions where b_i != b_{i+t}, the sum is
-    (n - t) - 2*D(t).  The bits are packed once per bit offset r = 0..7;
-    lag t = 8q + r then compares copy 0 with copy r from byte q on, one
-    XOR and popcount over 64-bit words, the last word masked to the
-    overlap.  D(t) is an exact integer, so each value is the correctly
-    rounded quotient of the exact sum by n - t, the same float as a
+    Below _FFT_MIN_LAG lags, with D(t) the count of b_i != b_{i+t}, the sum
+    is (n - t) - 2*D(t): the bits are packed once per offset r = 0..7, and
+    lag t = 8q + r XORs copy 0 with copy r from byte q on and popcounts
+    the 64-bit words, the last masked to the overlap.  From it on, the
+    sums come from _fft_lag_sums.  Either sum is an exact integer, so each
+    value is its correctly rounded quotient by n - t, the same float as a
     direct evaluation of the sum.
     """
     n = seq.n
     if not 0 < max_lag < n:
         raise LagOutOfRange(f"max_lag must be in (0, {n}), got {max_lag}")
-    # Padded so that every lag's word slice stays inside its copy.
-    copies = np.zeros((8, 8 * (-(-n // 64)) + 8), dtype=np.uint8)
-    for r in range(8):
-        packed = np.packbits(seq.bits[r:])
-        copies[r, :packed.size] = packed
-    base = copies[0].view(np.uint64)
-    positive = np.empty(max_lag + 1)
-    positive[0] = 1.0
-    for tau in range(1, max_lag + 1):
-        q, r = divmod(tau, 8)
-        overlap = n - tau
-        words = -(-overlap // 64)
-        diff = base[:words] ^ copies[r, q:q + 8 * words].view(np.uint64)
-        diff[-1] &= _WORD_MASKS[overlap - 64 * (words - 1)]
-        mismatches = int(np.bitwise_count(diff).sum())
-        positive[tau] = (overlap - 2 * mismatches) / overlap
+    if max_lag >= _FFT_MIN_LAG:
+        positive = _fft_lag_sums(seq.bits, max_lag) / np.arange(n, n - max_lag - 1, -1)
+    else:
+        # Padded so that every lag's word slice stays inside its copy.
+        copies = np.zeros((8, 8 * (-(-n // 64)) + 8), dtype=np.uint8)
+        for r in range(8):
+            packed = np.packbits(seq.bits[r:])
+            copies[r, :packed.size] = packed
+        base = copies[0].view(np.uint64)
+        positive = np.empty(max_lag + 1)
+        positive[0] = 1.0
+        for tau in range(1, max_lag + 1):
+            q, r = divmod(tau, 8)
+            overlap = n - tau
+            words = -(-overlap // 64)
+            diff = base[:words] ^ copies[r, q:q + 8 * words].view(np.uint64)
+            diff[-1] &= _WORD_MASKS[overlap - 64 * (words - 1)]
+            mismatches = int(np.bitwise_count(diff).sum())
+            positive[tau] = (overlap - 2 * mismatches) / overlap
     lags = np.arange(-max_lag, max_lag + 1)
     values = np.concatenate((positive[:0:-1], positive))
     return AutocorrSeries(n, lags, values)

@@ -332,6 +332,17 @@ def test_randtest_split_larger_than_input_is_runtime_error(tmp_path):
                 "--split-bits", "100000"]) == 2
 
 
+def test_randtest_split_longer_than_input_is_ignored_without_split_tests(tmp_path, capsys):
+    p = tmp_path / "small.bin"
+    p.write_bytes(b"\x55" * 200)
+    assert run(["randtest", "--input", str(p), "--tests", "balance",
+                "--split-bits", "100000"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "balance   : n=1600 deviation=0.000000 (limit 0.050000) pass",
+        "all 1 checks passed",
+    ]
+
+
 def test_randtest_split_bits_least_is_the_shortest_testable_sequence(tmp_path, capsys):
     keys = tmp_path / "keys.bin"
     assert run(["gen-keys", "--source", "seeded:42", "--bytes", "125",

@@ -1,11 +1,13 @@
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from otp_remctl import randtest
 from otp_remctl.entropy import SeededSource
 from otp_remctl.errors import LagOutOfRange, TooShort
 from otp_remctl.randtest import (
@@ -287,6 +289,59 @@ def test_autocorrelation_equals_dot_product_on_drawn_bits(raw, data):
     max_lag = data.draw(st.integers(1, bits.size - 1))
     series = autocorrelation(BitSequence(bits), max_lag)
     assert np.array_equal(series.values, _dot_autocorrelation(bits, max_lag))
+
+
+_SWITCH = randtest._FFT_MIN_LAG  # lag count from which the FFT runs
+
+
+def _check_autocorrelation_is_exact(bits, max_lag):
+    series = autocorrelation(BitSequence(bits), max_lag)
+    assert np.array_equal(series.values, _dot_autocorrelation(bits, max_lag))
+
+
+# max_lag on both sides of the switch and at n - 1; n below the FFT block
+# (n < 1024 at max_lag >= 513) and n not a multiple of it are both drawn.
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_autocorrelation_is_exact_across_the_method_switch(data):
+    n = data.draw(st.integers(2, 5000), label="n")
+    max_lag = data.draw(st.one_of(
+        st.just(n - 1),
+        st.integers(1, n - 1),
+        st.integers(min(_SWITCH - 2, n - 1), min(_SWITCH + 1, n - 1)),
+    ), label="max_lag")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    bits = (rng.random(n) < data.draw(st.floats(0, 1))).astype(np.uint8)
+    _check_autocorrelation_is_exact(bits, max_lag)
+
+
+# All-ones and alternating bits give |S(t)| = n - t, the largest sums.
+@pytest.mark.parametrize("max_lag", [_SWITCH - 1, _SWITCH, 1000])
+@pytest.mark.parametrize("pattern", sorted(_PATTERNS))
+def test_autocorrelation_is_exact_on_either_side_of_the_switch(pattern, max_lag):
+    _check_autocorrelation_is_exact(_PATTERNS[pattern](100_003), max_lag)
+
+
+# Small batches and spans put many of each in a short sequence, one block
+# per span at the largest lag.
+@pytest.mark.parametrize("max_lag", [_SWITCH, 1000, 2100, 9000])
+def test_fft_lag_sums_are_exact_across_batches_and_spans(monkeypatch, max_lag):
+    monkeypatch.setattr(randtest, "_FFT_BATCH", 1 << 11)
+    monkeypatch.setattr(randtest, "_FFT_SPAN", 1 << 13)
+    _check_autocorrelation_is_exact(_PATTERNS["seeded"](20_011), max_lag)
+
+
+@pytest.mark.parametrize("max_lag, limit", [(1000, 4 << 20), (20_000, 8 << 20)],
+                         ids=["lags-1000", "lags-20000-under-a-float-copy"])
+def test_autocorrelation_memory_is_bounded_by_batch(max_lag, limit):
+    seq = _seeded_bits(9, 125_000)
+    tracemalloc.start()
+    try:
+        autocorrelation(seq, max_lag)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit
 
 
 def test_pass_proportion_examples():
