@@ -9,6 +9,7 @@ The ``.idx`` sidecar and the session log are text files written by
 """
 
 import enum
+import itertools
 import operator
 import random
 from array import array
@@ -186,9 +187,12 @@ def _lines(path) -> list[str]:
 
 
 def _write_lines(path, lines) -> None:
-    """Write each line (none empty) and "\n" as bytes: text mode writes "\r\n" on Windows."""
-    text = "\n".join(lines)
-    Path(path).write_bytes(f"{text}\n".encode() if text else b"")
+    """Write each line (none empty) and "\n" as bytes, 4096 lines at a time so
+    memory stays bounded: text mode writes "\r\n" on Windows."""
+    lines = iter(lines)
+    with open(path, "wb") as f:
+        while batch := list(itertools.islice(lines, 4096)):
+            f.write(("\n".join(batch) + "\n").encode())
 
 
 def _check_written_back(path, read, written, writer: str) -> None:

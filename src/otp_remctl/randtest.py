@@ -5,6 +5,9 @@ the three classical binary-sequence postulates (balance, geometric
 run-length decay, delta-like autocorrelation), and the pass-proportion
 bookkeeping used when a corpus is split into many sequences.
 
+The runs and run-length tests walk the sequence in blocks of 2**16 bits,
+so their working memory (~1 MB) does not grow with n.
+
 Autocorrelation counts lag sums exactly: below 512 lags by XOR and popcount
 of packed bits (``np.bitwise_count``, NumPy 2.0 or later), from 512 on by
 one inverse FFT of summed block cross-spectra, rounded.  Either way every
@@ -99,9 +102,23 @@ def monobit_frequency(seq: BitSequence, alpha: float = DEFAULT_ALPHA) -> TestRes
     return TestResult("frequency", n, s, p, alpha)
 
 
+_RUN_BLOCK = 1 << 16  # positions compared at once by the run checks
+
+
+def _run_bounds(bits: np.ndarray):
+    """Per block of _RUN_BLOCK positions i in 1..n, its first i and the bool
+    mask of the run bounds: bit i starts a run, or i = n ends the last one.
+    Each run ends at exactly one bound, and no temporary outgrows a block."""
+    n = bits.size
+    for lo in range(1, n + 1, _RUN_BLOCK):
+        end = min(lo + _RUN_BLOCK, n)
+        mask = bits[lo:end] != bits[lo - 1:end - 1]
+        yield lo, np.append(mask, True) if lo + _RUN_BLOCK > n else mask
+
+
 def count_runs(seq: BitSequence) -> int:
-    """Number of maximal same-bit blocks; each bit unlike the one before starts one."""
-    return int(np.count_nonzero(seq.bits[1:] != seq.bits[:-1])) + 1
+    """Number of maximal same-bit blocks: the run bounds, counted a block at a time."""
+    return sum(int(np.count_nonzero(mask)) for _, mask in _run_bounds(seq.bits))
 
 
 def nist_runs(seq: BitSequence, alpha: float = DEFAULT_ALPHA) -> TestResult:
@@ -150,12 +167,19 @@ def golomb_balance(seq: BitSequence) -> BalanceResult:
 
 
 def run_length_histogram(seq: BitSequence) -> dict:
-    """Histogram {run length: count} over all maximal runs, which start
-    where count_runs counts them.  The starts are found on a bool mask:
-    np.flatnonzero over bools is several times faster than over uint8."""
-    bits = seq.bits
-    edges = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1], [True])))
-    counts = np.bincount(np.diff(edges))
+    """Histogram {run length: count} over all maximal runs, whose bounds
+    count_runs counts: a block's, diffed from the bound before, add their
+    bincount to one total.  np.flatnonzero is fastest over a bool mask."""
+    counts, last = np.zeros(0, dtype=np.intp), 0  # last: where the open run starts
+    for lo, mask in _run_bounds(seq.bits):
+        bounds = np.flatnonzero(mask)  # offsets from lo
+        if bounds.size:
+            lengths = np.empty_like(bounds)
+            lengths[0] = lo + bounds[0] - last
+            np.subtract(bounds[1:], bounds[:-1], out=lengths[1:])
+            total = np.bincount(lengths, minlength=counts.size)
+            total[:counts.size] += counts
+            counts, last = total, lo + int(bounds[-1])
     return {int(length): int(c) for length, c in enumerate(counts) if c}
 
 

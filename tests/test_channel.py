@@ -113,6 +113,7 @@ def test_export_empty_log(tmp_path):
     p = tmp_path / "empty.bin"
     export_intercepts(InterceptLog(), p)
     assert p.stat().st_size == 0
+    assert (tmp_path / "empty.bin.idx").read_bytes() == b""
     assert len(load_intercepts(p)) == 0
 
 

@@ -736,3 +736,22 @@ def test_session_log_memory_per_command():
         tracemalloc.stop()
     assert len(log.events("sent")) == n
     assert held / n <= 98  # 84.9 B measured with no seq or address column, plus 15%
+
+
+def test_session_log_save_memory_is_bounded(tmp_path):
+    # ~60 000 lines, many write batches: the whole text, held at once,
+    # would peak at several times the file's size.
+    n = 20_000
+    tx, rx = charge(SeededSource(6), 32, n)
+    script = [REG.lookup(REG.names()[i % 5]) for i in range(n)]
+    log = run_session(Controller(tx), Controlee(rx), script,
+                      Channel(ChannelConfig(loss_prob=0.2, tamper_prob=0.02, rng_seed=8)))
+    p = tmp_path / "s.log"
+    tracemalloc.start()
+    try:
+        log.save(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert p.read_bytes() == "".join(f"{line}\n" for line in log._lines()).encode()
+    assert peak < p.stat().st_size

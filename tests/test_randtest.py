@@ -169,13 +169,23 @@ def test_run_length_seeded_stream_passes():
     assert sum(r.histogram.values()) == r.total_runs
 
 
-def _check_histogram_is_exact(raw):
-    """run_length_histogram against a pure-Python groupby, key order included."""
+# Tiny blocks put many block edges, and runs spanning several blocks, in
+# a few thousand bits; the module's own block covers the common case.
+_RUN_BLOCKS = [8, 64, randtest._RUN_BLOCK]
+
+
+def _check_histogram_is_exact(raw, block):
+    """run_length_histogram against a pure-Python groupby, key order included,
+    and count_runs against the bits unlike the one before, in blocks of ``block``."""
     seq = BitSequence(raw)
-    histogram = run_length_histogram(seq)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(randtest, "_RUN_BLOCK", block)
+        histogram = run_length_histogram(seq)
+        runs = count_runs(seq)
     reference = Counter(len(list(run)) for _, run in itertools.groupby(raw))
     assert list(histogram.items()) == sorted(reference.items())
-    assert sum(histogram.values()) == count_runs(seq)
+    assert runs == sum(histogram.values())
+    assert runs == np.count_nonzero(seq.bits[1:] != seq.bits[:-1]) + 1
     assert sum(length * c for length, c in histogram.items()) == seq.n
 
 
@@ -193,19 +203,55 @@ def _bit_lists(draw):
     return (period * -(-n // len(period)))[:n]
 
 
-@given(_bit_lists())
+@given(_bit_lists(), st.sampled_from(_RUN_BLOCKS))
 @settings(max_examples=150, deadline=None)
-def test_run_length_histogram_equals_groupby_on_drawn_bits(raw):
-    _check_histogram_is_exact(raw)
+def test_run_length_histogram_equals_groupby_on_drawn_bits(raw, block):
+    _check_histogram_is_exact(raw, block)
 
 
-@pytest.mark.parametrize("raw", [
-    [0], [1], [0] * 4000, [1] * 37, [0, 1] * 2000, [1, 0] * 7 + [1],
-    [1] + [0] * 3999, [0] * 3999 + [1], [0] + [1] * 99, [1] * 99 + [0],
-], ids=["one-0", "one-1", "all-0", "all-1", "alternating", "alternating-odd",
-        "first-flipped", "last-flipped", "first-flipped-short", "last-flipped-short"])
-def test_run_length_histogram_equals_groupby_on_edge_cases(raw):
-    _check_histogram_is_exact(raw)
+# Blocks cover positions 1..n, so n = k*B ends a block on the last bit,
+# n = k*B - 1 one short of it, and n = k*B + 1 puts the end of the last run
+# alone in a block.  Runs B long sit on or one off the block edges.
+_EDGE_CASES = {
+    "one-0": lambda b: [0],
+    "one-1": lambda b: [1],
+    "all-0": lambda b: [0] * 4000,
+    "all-1": lambda b: [1] * 37,
+    "alternating": lambda b: [0, 1] * 2000,
+    "alternating-odd": lambda b: [1, 0] * 7 + [1],
+    "first-flipped": lambda b: [1] + [0] * 3999,
+    "last-flipped": lambda b: [0] * 3999 + [1],
+    "first-flipped-short": lambda b: [0] + [1] * 99,
+    "last-flipped-short": lambda b: [1] * 99 + [0],
+    "all-equal-kB-1": lambda b: [1] * (3 * b - 1),
+    "all-equal-kB": lambda b: [0] * (3 * b),
+    "all-equal-kB+1": lambda b: [1] * (3 * b + 1),
+    "runs-of-B-kB-1": lambda b: [0] * (b - 1) + [1] * b + [0] * b,
+    "runs-of-B-kB": lambda b: [0] * b + [1] * b + [0] * b,
+    "runs-of-B-kB+1": lambda b: [1] * (b + 1) + [0] * b + [1] * b,
+    "seeded-kB-1": lambda b: _PATTERNS["seeded"](3 * b - 1).tolist(),
+    "seeded-kB": lambda b: _PATTERNS["seeded"](3 * b).tolist(),
+    "seeded-kB+1": lambda b: _PATTERNS["seeded"](3 * b + 1).tolist(),
+}
+
+
+@pytest.mark.parametrize("case", list(_EDGE_CASES))
+def test_run_length_histogram_equals_groupby_on_edge_cases(case):
+    for block in _RUN_BLOCKS:
+        _check_histogram_is_exact(_EDGE_CASES[case](block), block)
+
+
+@pytest.mark.parametrize("nbytes", [125_000, 1_000_000], ids=["1-mbit", "8-mbit"])
+@pytest.mark.parametrize("check", [golomb_run_lengths, nist_runs], ids=lambda f: f.__name__)
+def test_run_checks_memory_is_bounded_by_block(check, nbytes):
+    seq = _seeded_bits(10, nbytes)
+    tracemalloc.start()
+    try:
+        check(seq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 << 20
 
 
 def test_autocorrelation_normalization():
