@@ -2,11 +2,15 @@
 
 The toolkit models a controller/controlee pair that share precharged
 one-time-pad key material, exchange fixed 32-byte command frames under a
-clear 4-byte key address, stay synchronized across frame loss by burning
-skipped key blocks, and reject replayed or corrupted frames.  A channel
-simulator with an eavesdropper tap and a statistical randomness suite
-(frequency, runs, balance, run lengths, autocorrelation) complete the
-loop: what leaves the controller should be indistinguishable from noise.
+clear 4-byte key address, and stay synchronized across frame loss by
+burning skipped key blocks.  Replayed, plaintext and randomly corrupted
+frames are rejected; a crafted XOR forgery is not, as the pad is
+malleable and the one check is a match against the public registry.  A
+channel simulator with an eavesdropper tap and a statistical randomness
+suite (frequency, runs, balance, run lengths, autocorrelation) complete
+the loop: what leaves the controller should be indistinguishable from
+noise.  The names exported here, listed in the README's "Library use",
+are the public surface; every other name is internal.
 """
 
 from .channel import (
@@ -21,35 +25,22 @@ from .channel import (
     extract_ciphertext,
     load_intercepts,
 )
-from .entropy import (
-    EntropySource,
-    FileSource,
-    SeededSource,
-    SystemSource,
-    make_source,
-)
+from .entropy import EntropySource, SeededSource, make_source
 from .errors import (
     BadLength,
     BadMagic,
     BadVersion,
     ChecksumMismatch,
-    ExhaustedSource,
     KeyExhausted,
-    KeyLengthMismatch,
     KeyReused,
-    LagOutOfRange,
     OtpRemctlError,
     OutOfRange,
     SksFormatError,
-    TooShort,
     TruncatedFile,
 )
 from .frame import (
-    CHANNEL_COUNT,
     FRAME_LEN,
-    FULL_BLOCK_SIZE,
     HEADER,
-    SELECTIVE_BLOCK_SIZE,
     WIRE_LEN,
     CipherMode,
     CommandFrame,
@@ -72,11 +63,7 @@ from .protocol import (
     run_session,
 )
 from .randtest import (
-    AutocorrSeries,
-    BalanceResult,
     BitSequence,
-    ProportionResult,
-    RunLengthResult,
     TestResult,
     autocorrelation,
     golomb_balance,

@@ -25,8 +25,7 @@ from .channel import Channel, ChannelConfig, Delivery, TamperModel, \
     export_intercepts, extract_ciphertext, load_intercepts
 from .entropy import SeededSource, make_source
 from .errors import OtpRemctlError
-from .frame import FRAME_LEN, FULL_BLOCK_SIZE, CipherMode, CommandRegistry, \
-    standard_registry
+from .frame import FRAME_LEN, CipherMode, CommandRegistry, standard_registry
 from .keystore import SksStore, charge
 from .protocol import Controlee, Controller, run_session
 from . import randtest as rt
@@ -263,7 +262,7 @@ def demo_end_to_end(seed: int, out=None) -> int:
     registry = standard_registry()
     reps = 5
     names = registry.names()
-    tx_store, _ = charge(SeededSource(seed), FULL_BLOCK_SIZE, len(names) * reps)
+    tx_store, _ = charge(SeededSource(seed), CipherMode.FULL.key_length, len(names) * reps)
     controller = Controller(tx_store)
     rows = []
     for name in names:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ExhaustedSource
+from .errors import KeyExhausted
 
 # Seeded streams are generated in fixed-size quanta so that the byte at a
 # given stream offset does not depend on how reads were split up.
@@ -114,9 +114,7 @@ class FileSource(EntropySource):
             fh.seek(self.cursor)
             data = fh.read(n)
         if len(data) < n:
-            raise ExhaustedSource(
-                f"{self.path}: requested {n} bytes, only {len(data)} remain"
-            )
+            raise KeyExhausted(f"{self.path}: requested {n} bytes, only {len(data)} remain")
         self.cursor += n
         return data
 

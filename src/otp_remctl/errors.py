@@ -5,20 +5,20 @@ class OtpRemctlError(Exception):
     """Base class for every error raised by this package."""
 
 
-class ExhaustedSource(OtpRemctlError):
-    """An entropy source cannot supply the requested number of bytes."""
-
-
 class KeyReused(OtpRemctlError):
     """A key block was requested after it had already been consumed."""
 
 
 class OutOfRange(OtpRemctlError):
-    """A key address lies beyond the end of the store."""
+    """A number lies outside its allowed range: a key address beyond the end
+    of the store, a wire-frame address that does not fit in 32 bits, or an
+    autocorrelation lag outside (0, n) or outside a series' computed lags."""
 
 
 class KeyExhausted(OtpRemctlError):
-    """No unconsumed key blocks remain; the store must be recharged."""
+    """Key material has run out: no unconsumed block remains in a store, which
+    must be recharged, or a file entropy source has fewer bytes left than a
+    draw requests."""
 
 
 class SksFormatError(OtpRemctlError):
@@ -42,16 +42,6 @@ class ChecksumMismatch(SksFormatError):
 
 
 class BadLength(OtpRemctlError):
-    """A byte string has the wrong length for its role."""
-
-
-class KeyLengthMismatch(OtpRemctlError):
-    """The supplied key does not match the cipher mode's key length."""
-
-
-class TooShort(OtpRemctlError):
-    """The bit sequence is shorter than the statistical test requires."""
-
-
-class LagOutOfRange(OtpRemctlError):
-    """An autocorrelation lag outside the open interval (0, n)."""
+    """A sequence has the wrong length for its role: a frame, payload or wire
+    frame of the wrong size, a key that does not match its cipher mode's key
+    length, or a bit sequence shorter than a statistical test requires."""

@@ -18,13 +18,13 @@ import struct
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import BadLength, KeyLengthMismatch, OutOfRange
+from .errors import BadLength, OutOfRange
 
 HEADER = bytes((36, 77, 60, 16, 105))
 FRAME_LEN = 32
 ADDRESS_LEN = 4
 WIRE_LEN = FRAME_LEN + ADDRESS_LEN
-CHANNEL_COUNT = 7
+_CHANNEL_COUNT = 7
 
 CHANNEL_SLICE = slice(5, 19)
 AUX_SLICE = slice(19, 28)
@@ -67,10 +67,6 @@ class CipherMode(enum.Enum):
         raise ValueError(f"no cipher mode uses {block_size}-byte key blocks")
 
 
-FULL_BLOCK_SIZE = CipherMode.FULL.key_length
-SELECTIVE_BLOCK_SIZE = CipherMode.SELECTIVE.key_length
-
-
 @dataclass(frozen=True)
 class CommandFrame:
     """A validated 32-byte plaintext command."""
@@ -104,8 +100,8 @@ def encode_command(channels, aux: bytes, trailer: bytes) -> CommandFrame:
     bytes, ``trailer`` four bytes.
     """
     channels = tuple(channels)
-    if len(channels) != CHANNEL_COUNT:
-        raise ValueError(f"expected {CHANNEL_COUNT} channel values, got {len(channels)}")
+    if len(channels) != _CHANNEL_COUNT:
+        raise ValueError(f"expected {_CHANNEL_COUNT} channel values, got {len(channels)}")
     for v in channels:
         if not 0 <= v <= 0xFFFF:
             raise ValueError(f"channel value {v} outside 0..65535")
@@ -161,9 +157,7 @@ def _apply_pad(data: bytes, key: bytes, mode: CipherMode) -> bytes:
     """XOR the mode's ciphered region of ``data`` with ``key``; the rest stays clear."""
     key_length, shift = mode._pad
     if len(key) != key_length:
-        raise KeyLengthMismatch(
-            f"{mode.value} mode needs a {key_length}-byte key, got {len(key)}"
-        )
+        raise BadLength(f"{mode.value} mode needs a {key_length}-byte key, got {len(key)}")
     if len(data) != FRAME_LEN:
         raise BadLength(f"a padded payload is {FRAME_LEN} bytes, got {len(data)}")
     pad = int.from_bytes(data, "big") ^ (int.from_bytes(key, "big") << shift)

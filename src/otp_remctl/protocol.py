@@ -76,7 +76,7 @@ class Controller:
         addr = store.consumed_count
         if addr >= store.block_count:
             raise KeyExhausted(
-                f"store exhausted after {self.frames_sent} frames; recharge required"
+                f"store exhausted: all {store.block_count} blocks consumed; recharge required"
             )
         key = store.take_block(addr)
         self.frames_sent += 1

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LagOutOfRange, TooShort
+from .errors import BadLength, OutOfRange
 
 # Smallest sequence the NIST-style tests accept: SP 800-22 asks for 100
 # bits, below which the normal approximations behind the P-values are poor.
@@ -87,7 +87,7 @@ class TestResult:
 
 def _require_length(seq: BitSequence) -> None:
     if seq.n < MIN_TEST_BITS:
-        raise TooShort(f"test needs at least {MIN_TEST_BITS} bits, got {seq.n}")
+        raise BadLength(f"test needs at least {MIN_TEST_BITS} bits, got {seq.n}")
 
 
 def monobit_frequency(seq: BitSequence, alpha: float = DEFAULT_ALPHA) -> TestResult:
@@ -237,7 +237,7 @@ class AutocorrSeries:
     def c(self, tau: int) -> float:
         t = abs(int(tau))
         if t > self.max_lag:
-            raise LagOutOfRange(f"lag {tau} outside computed range +-{self.max_lag}")
+            raise OutOfRange(f"lag {tau} outside computed range +-{self.max_lag}")
         return float(self.values[self.max_lag + t])
 
     def fraction_within_bound(self, k: float = 4.0) -> float:
@@ -306,7 +306,7 @@ def autocorrelation(seq: BitSequence, max_lag: int) -> AutocorrSeries:
     """
     n = seq.n
     if not 0 < max_lag < n:
-        raise LagOutOfRange(f"max_lag must be in (0, {n}), got {max_lag}")
+        raise OutOfRange(f"max_lag must be in (0, {n}), got {max_lag}")
     if max_lag >= _FFT_MIN_LAG:
         positive = _fft_lag_sums(seq.bits, max_lag) / np.arange(n, n - max_lag - 1, -1)
     else:

@@ -10,7 +10,7 @@ from otp_remctl.entropy import (
     SystemSource,
     make_source,
 )
-from otp_remctl.errors import ExhaustedSource
+from otp_remctl.errors import KeyExhausted
 
 
 def test_zero_length_fill():
@@ -108,7 +108,7 @@ def test_file_source_exhaustion(tmp_path):
     p = tmp_path / "8bytes.bin"
     p.write_bytes(b"\x11" * 8)
     src = FileSource(p)
-    with pytest.raises(ExhaustedSource):
+    with pytest.raises(KeyExhausted, match=r"8bytes\.bin: requested 9 bytes, only 8 remain$"):
         src.fill(9)
     # a failed draw consumes nothing
     assert src.fill(8) == b"\x11" * 8

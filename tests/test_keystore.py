@@ -18,7 +18,7 @@ from otp_remctl.errors import (
     SksFormatError,
     TruncatedFile,
 )
-from otp_remctl.frame import FULL_BLOCK_SIZE, MAX_ADDRESS, SELECTIVE_BLOCK_SIZE, CipherMode
+from otp_remctl.frame import MAX_ADDRESS, CipherMode
 from otp_remctl.keystore import SksStore, charge
 
 
@@ -59,7 +59,7 @@ class _NoDrawSource(EntropySource):
 def test_charge_rejects_address_space_overflow_before_drawing():
     # MAX_ADDRESS + 2 full blocks would be a 128 GiB draw
     with pytest.raises(ValueError, match="exceeds the 32-bit address space"):
-        charge(_NoDrawSource(), FULL_BLOCK_SIZE, MAX_ADDRESS + 2)
+        charge(_NoDrawSource(), CipherMode.FULL.key_length, MAX_ADDRESS + 2)
 
 
 class _DrawReached(Exception):
@@ -76,8 +76,8 @@ class _SentinelSource(EntropySource):
 def test_charge_accepts_exactly_the_whole_address_space():
     # one block per address: the geometry check passes and charge goes on to draw
     with pytest.raises(_DrawReached) as reached:
-        charge(_SentinelSource(), FULL_BLOCK_SIZE, MAX_ADDRESS + 1)
-    assert reached.value.args == (FULL_BLOCK_SIZE * (MAX_ADDRESS + 1),)
+        charge(_SentinelSource(), CipherMode.FULL.key_length, MAX_ADDRESS + 1)
+    assert reached.value.args == (CipherMode.FULL.key_length * (MAX_ADDRESS + 1),)
 
 
 def test_take_block_is_one_time(make_pair):
@@ -359,7 +359,7 @@ def test_store_carries_its_cipher_mode(tmp_path, mode):
 
 
 def test_selective_block_size_roundtrip(tmp_path):
-    a, _ = charge(SeededSource(2), SELECTIVE_BLOCK_SIZE, 6)
+    a, _ = charge(SeededSource(2), CipherMode.SELECTIVE.key_length, 6)
     a.take_block(0)
     p = tmp_path / "sel.sks"
     a.save(p)
@@ -377,7 +377,7 @@ _OPS = st.lists(
 @given(st.integers(0, 2**32 - 1), _OPS)
 @settings(max_examples=60, deadline=None)
 def test_roundtrip_over_random_op_sequences(seed, ops):
-    store, _ = charge(SeededSource(seed), FULL_BLOCK_SIZE, 24)
+    store, _ = charge(SeededSource(seed), CipherMode.FULL.key_length, 24)
     for op, i in ops:
         if op == "take":
             try:
@@ -396,7 +396,7 @@ def test_roundtrip_over_random_op_sequences(seed, ops):
 @example(0, [("take", 5), ("discard", 8)])  # take 5 burns 0..5, discard 8 burns 6 and 7
 @settings(max_examples=60, deadline=None)
 def test_no_block_is_returned_twice(seed, ops):
-    store, _ = charge(SeededSource(seed), FULL_BLOCK_SIZE, 24)
+    store, _ = charge(SeededSource(seed), CipherMode.FULL.key_length, 24)
     seen = set()
     consumed_hwm = 0
     model = 0  # the consumed prefix, kept apart from the store

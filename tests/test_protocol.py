@@ -57,6 +57,16 @@ def test_send_exhaustion():
         ctrl.send(CONNECTION)
 
 
+def test_send_exhaustion_names_the_store_state():
+    # a store loaded with its whole prefix consumed: this controller has
+    # sent nothing, so a count of its own sends would say "after 0 frames"
+    ctrl, _ = _pair(blocks=3)
+    ctrl.store.discard_through(3)
+    with pytest.raises(KeyExhausted) as exc:
+        ctrl.send(CONNECTION)
+    assert str(exc.value) == "store exhausted: all 3 blocks consumed; recharge required"
+
+
 def test_matched_roundtrip_accepts():
     ctrl, clee = _pair()
     out = clee.receive(ctrl.send(CONNECTION).to_bytes())

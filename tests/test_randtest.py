@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from otp_remctl import randtest
 from otp_remctl.entropy import SeededSource
-from otp_remctl.errors import LagOutOfRange, TooShort
+from otp_remctl.errors import BadLength, OutOfRange
 from otp_remctl.randtest import (
     BitSequence,
     autocorr_csv,
@@ -74,7 +74,7 @@ def test_monobit_hand_oracle():
 
 
 def test_monobit_too_short():
-    with pytest.raises(TooShort):
+    with pytest.raises(BadLength, match=r"^test needs at least 100 bits, got 98$"):
         monobit_frequency(BitSequence([0, 1] * 49))
 
 
@@ -111,7 +111,7 @@ def test_runs_not_applicable_when_biased():
 
 
 def test_runs_too_short():
-    with pytest.raises(TooShort):
+    with pytest.raises(BadLength, match=r"^test needs at least 100 bits, got 20$"):
         nist_runs(BitSequence([1, 0] * 10))
 
 
@@ -158,7 +158,7 @@ def test_run_length_histogram_examples():
 
 
 def test_run_length_too_short():
-    with pytest.raises(TooShort):
+    with pytest.raises(BadLength, match=r"^test needs at least 100 bits, got 3$"):
         golomb_run_lengths(BitSequence([0, 1, 0]))
 
 
@@ -274,12 +274,12 @@ def test_autocorrelation_is_symmetric():
 
 def test_autocorrelation_lag_bounds():
     seq = _seeded_bits(3, 100)
-    with pytest.raises(LagOutOfRange):
+    with pytest.raises(OutOfRange, match=r"^max_lag must be in \(0, 800\), got 0$"):
         autocorrelation(seq, 0)
-    with pytest.raises(LagOutOfRange):
+    with pytest.raises(OutOfRange, match=r"^max_lag must be in \(0, 800\), got 800$"):
         autocorrelation(seq, 800)
     series = autocorrelation(seq, 10)
-    with pytest.raises(LagOutOfRange):
+    with pytest.raises(OutOfRange, match=r"^lag 11 outside computed range \+-10$"):
         series.c(11)
 
 

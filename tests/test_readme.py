@@ -1,13 +1,16 @@
-"""The README's ``python`` examples run against the current API, and its
-randtest example prints what the README shows."""
+"""The README's ``python`` examples run against the current API, its
+randtest example prints what the README shows, and its "Library use"
+section names every name the package root exports."""
 
+import ast
 import re
 import shlex
 from pathlib import Path
 
 from otp_remctl.cli import run
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def test_readme_python_examples_run(tmp_path, monkeypatch):
@@ -30,3 +33,36 @@ def test_readme_audit_example_prints_its_block(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert run(randtest[1:]) == 0
     assert capsys.readouterr().out.splitlines() == printed.splitlines()
+
+
+def _root_exports() -> list[str]:
+    tree = ast.parse((ROOT / "src" / "otp_remctl" / "__init__.py").read_text())
+    return [alias.asname or alias.name for node in tree.body
+            if isinstance(node, ast.ImportFrom) for alias in node.names]
+
+
+def _word(name: str) -> re.Pattern:
+    return re.compile(rf"\b{re.escape(name)}\b")
+
+
+def _uses(name: str, paths) -> int:
+    return sum(len(_word(name).findall(p.read_text(encoding="utf-8"))) for p in paths)
+
+
+def test_readme_library_use_names_every_root_export():
+    section = README.read_text().split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    exports = _root_exports()
+    assert exports
+    missing = [name for name in exports if not _word(name).search(section)]
+    places = {
+        "src": [p for p in (ROOT / "src").rglob("*.py") if p.name != "__init__.py"],
+        "bench": sorted((ROOT / "bench").glob("*.py")),
+        "README": [README],
+        "tests": sorted((ROOT / "tests").glob("*.py")),
+    }
+    report = "\n".join(
+        f"  {name}: " + ", ".join(f"{where} {_uses(name, paths)}"
+                                  for where, paths in places.items())
+        for name in missing)
+    assert not missing, (f"{len(missing)} root exports missing from the README's "
+                         f"'Library use' (uses outside __init__.py):\n{report}")
