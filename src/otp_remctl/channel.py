@@ -22,8 +22,11 @@ from .frame import FRAME_LEN, WIRE_LEN, CipherMode
 
 
 class TamperModel(enum.Enum):
-    FLIP_ONE_RANDOM_BYTE = "flip_one_random_byte"
-    RANDOMIZE_PAYLOAD = "randomize_payload"
+    """How a tampered frame is corrupted; each value is its ``--tamper-model``
+    name. ``flip``: one random payload byte; ``randomize``: the whole payload."""
+
+    FLIP_ONE_RANDOM_BYTE = "flip"
+    RANDOMIZE_PAYLOAD = "randomize"
 
 
 class Delivery(enum.Enum):

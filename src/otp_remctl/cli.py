@@ -8,13 +8,12 @@ stock commands repeatedly and show that ciphertexts never repeat).
 
 Exit codes: 0 success, 1 usage error, 2 runtime failure, 3 randtest ran
 to completion but at least one check failed.  Every subcommand is
-deterministic given its flags; nothing reads ambient randomness unless
-``--source system`` is requested explicitly.
+deterministic given its flags alone: the CLI reads no env variable, and
+ambient randomness only when ``--source system`` is requested explicitly.
 """
 
 import argparse
 import json
-import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -29,8 +28,6 @@ from .frame import FRAME_LEN, CipherMode, CommandRegistry, standard_registry
 from .keystore import SksStore, charge
 from .protocol import Controlee, Controller, run_session
 from . import randtest as rt
-
-REGISTRY_ENV = "OTP_REMCTL_REGISTRY"
 
 _TEST_TOKENS = ("freq", "runs", "balance", "runlen", "autocorr")
 
@@ -88,15 +85,6 @@ def _tests_arg(text):
     return tokens
 
 
-def resolve_registry(path=None) -> CommandRegistry:
-    """--registry beats the OTP_REMCTL_REGISTRY env var beats the built-ins."""
-    if path is None:
-        path = os.environ.get(REGISTRY_ENV) or None
-    if path is None:
-        return standard_registry()
-    return CommandRegistry.load(path)
-
-
 def _read_script(path, registry: CommandRegistry):
     """Command frames for a script file: one name per line, # comments ok."""
     frames = []
@@ -132,13 +120,13 @@ def _cmd_charge(args) -> int:
 def _cmd_session(args) -> int:
     """simulate and intercept-export: fly the script, then report the flight."""
     controller = Controller(SksStore.load(args.controller))
-    registry = resolve_registry(args.registry)
+    registry = (standard_registry() if args.registry is None
+                else CommandRegistry.load(args.registry))
     controlee = Controlee(SksStore.load(args.controlee), registry=registry)
     script = _read_script(args.script, registry)
-    model = (TamperModel.FLIP_ONE_RANDOM_BYTE if args.tamper_model == "flip"
-             else TamperModel.RANDOMIZE_PAYLOAD)
     channel = Channel(ChannelConfig(loss_prob=args.loss, tamper_prob=args.tamper,
-                                    tamper_model=model, rng_seed=args.seed))
+                                    tamper_model=TamperModel(args.tamper_model),
+                                    rng_seed=args.seed))
     log = run_session(controller, controlee, script, channel)
     if args.out:
         export_intercepts(channel.intercepts, args.out)
@@ -337,12 +325,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="frame loss probability")
         p.add_argument("--tamper", type=_number(float, 0, 1), default=0.0,
                        help="in-flight corruption probability")
-        p.add_argument("--tamper-model", choices=("flip", "randomize"),
-                       default="flip", help="corruption model")
+        p.add_argument("--tamper-model", choices=[m.value for m in TamperModel],
+                       default=TamperModel.FLIP_ONE_RANDOM_BYTE.value, help="corruption model")
         p.add_argument("--seed", type=_number(int, 0), default=0, help="channel seed")
         p.add_argument("--registry", default=None,
-                       help=f"command registry file (default: ${REGISTRY_ENV} "
-                            "or the built-in five commands)")
+                       help="command registry file (default: the built-in five commands)")
         if out_help is None:
             p.set_defaults(out=None)
         else:

@@ -12,11 +12,12 @@ import pytest
 
 import otp_remctl
 from otp_remctl import randtest as rt
-from otp_remctl.cli import REGISTRY_ENV, demo_end_to_end, run
+from otp_remctl.channel import Channel, ChannelConfig, TamperModel
+from otp_remctl.cli import demo_end_to_end, run
 from otp_remctl.entropy import SeededSource
 from otp_remctl.frame import CommandRegistry, standard_registry
 from otp_remctl.keystore import SksStore
-from otp_remctl.protocol import SessionLog
+from otp_remctl.protocol import Controlee, Controller, SessionLog, run_session
 
 
 def _charge(tmp_path, blocks=64, mode="full", seed=1):
@@ -186,30 +187,41 @@ def test_simulate_missing_store_is_runtime_error(tmp_path):
                 "--script", str(script)]) == 2
 
 
-def test_registry_env_var_is_used(tmp_path, monkeypatch, capsys):
-    reg = CommandRegistry()
-    reg.add("Linkup", standard_registry().lookup("Connection"))
-    regfile = tmp_path / "own.reg"
-    reg.save(regfile)
-    monkeypatch.setenv(REGISTRY_ENV, str(regfile))
-    a, b = _charge(tmp_path)
-    script = _script(tmp_path, ["Linkup"])
-    assert run(["simulate", "--controller", str(a), "--controlee", str(b),
-                "--script", str(script)]) == 0
-    out = capsys.readouterr().out
-    assert "accepted         : 1" in out
-
-
-def test_registry_flag_beats_env(tmp_path, monkeypatch):
-    monkeypatch.setenv(REGISTRY_ENV, str(tmp_path / "does-not-exist.reg"))
+def test_registry_comes_from_the_flag_alone(tmp_path, monkeypatch, capsys):
+    # A registry variable in the caller's environment must change nothing.
+    monkeypatch.setenv("OTP_REMCTL_REGISTRY", str(tmp_path / "does-not-exist.reg"))
     reg = CommandRegistry()
     reg.add("Linkup", standard_registry().lookup("Connection"))
     regfile = tmp_path / "own.reg"
     reg.save(regfile)
     a, b = _charge(tmp_path)
+    fly = ["simulate", "--controller", str(a), "--controlee", str(b), "--script"]
+    assert run([*fly, str(_script(tmp_path, ["Connection"]))]) == 0
+    assert "accepted         : 1" in capsys.readouterr().out
     script = _script(tmp_path, ["Linkup"])
+    assert run([*fly, str(script)]) == 2
+    assert "unknown command 'Linkup'" in capsys.readouterr().err
+    assert run([*fly, str(script), "--registry", str(regfile)]) == 0
+    assert "accepted         : 1" in capsys.readouterr().out
+    assert run([*fly, str(script), "--registry", ""]) == 2
+
+
+@pytest.mark.parametrize("model", list(TamperModel))
+def test_tamper_model_flag_flies_its_member(tmp_path, model):
+    a, b = _charge(tmp_path)
+    names = ["Connection", "Forward", "Turn Left", "Backward"] * 10
+    log = tmp_path / "cli.log"
     assert run(["simulate", "--controller", str(a), "--controlee", str(b),
-                "--script", str(script), "--registry", str(regfile)]) == 0
+                "--script", str(_script(tmp_path, names)), "--tamper", "0.5",
+                "--tamper-model", model.value, "--seed", "3", "--log", str(log)]) == 0
+    registry = standard_registry()
+    expected = tmp_path / "lib.log"
+    run_session(Controller(SksStore.load(a)),
+                Controlee(SksStore.load(b), registry=registry),
+                [registry.lookup(n) for n in names],
+                Channel(ChannelConfig(tamper_prob=0.5, tamper_model=model, rng_seed=3))
+                ).save(expected)
+    assert log.read_bytes() == expected.read_bytes()
 
 
 # Saves, reloads and flies a registry whose one name is not ASCII, written
@@ -563,8 +575,8 @@ _HELP = {
         "  --tamper-model {flip,randomize}\n"
         "                        corruption model\n"
         "  --seed SEED           channel seed\n"
-        "  --registry REGISTRY   command registry file (default: $OTP_REMCTL_REGISTRY\n"
-        "                        or the built-in five commands)\n"
+        "  --registry REGISTRY   command registry file (default: the built-in five\n"
+        "                        commands)\n"
         "  --log LOG             write the session log here\n"
     ),
     "intercept-export": (
@@ -587,8 +599,8 @@ _HELP = {
         "  --tamper-model {flip,randomize}\n"
         "                        corruption model\n"
         "  --seed SEED           channel seed\n"
-        "  --registry REGISTRY   command registry file (default: $OTP_REMCTL_REGISTRY\n"
-        "                        or the built-in five commands)\n"
+        "  --registry REGISTRY   command registry file (default: the built-in five\n"
+        "                        commands)\n"
         "  --out OUT             corpus file (sidecar: <out>.idx)\n"
         "  --log LOG             write the session log here\n"
     ),

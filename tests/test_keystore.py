@@ -303,7 +303,10 @@ def test_load_rejects_truncation(tmp_path, make_pair, keep):
     raw = p.read_bytes()
     assert len(raw) == 145
     p.write_bytes(raw[:keep])
-    with pytest.raises(TruncatedFile):
+    # Each length fails its own size check, not a later short read.
+    reason = ("too short for the magic" if keep < 4 else "header incomplete" if keep < 12
+              else f"{keep} bytes, format needs 145")
+    with pytest.raises(TruncatedFile, match=re.escape(reason)):
         SksStore.load(p)
 
 
