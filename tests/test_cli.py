@@ -190,10 +190,6 @@ def test_simulate_missing_store_is_runtime_error(tmp_path):
 def test_registry_comes_from_the_flag_alone(tmp_path, monkeypatch, capsys):
     # A registry variable in the caller's environment must change nothing.
     monkeypatch.setenv("OTP_REMCTL_REGISTRY", str(tmp_path / "does-not-exist.reg"))
-    reg = CommandRegistry()
-    reg.add("Linkup", standard_registry().lookup("Connection"))
-    regfile = tmp_path / "own.reg"
-    reg.save(regfile)
     a, b = _charge(tmp_path)
     fly = ["simulate", "--controller", str(a), "--controlee", str(b), "--script"]
     assert run([*fly, str(_script(tmp_path, ["Connection"]))]) == 0
@@ -201,9 +197,20 @@ def test_registry_comes_from_the_flag_alone(tmp_path, monkeypatch, capsys):
     script = _script(tmp_path, ["Linkup"])
     assert run([*fly, str(script)]) == 2
     assert "unknown command 'Linkup'" in capsys.readouterr().err
-    assert run([*fly, str(script), "--registry", str(regfile)]) == 0
-    assert "accepted         : 1" in capsys.readouterr().out
     assert run([*fly, str(script), "--registry", ""]) == 2
+
+
+def test_registry_flag_beats_env(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("OTP_REMCTL_REGISTRY", str(tmp_path / "does-not-exist.reg"))
+    reg = CommandRegistry()
+    reg.add("Linkup", standard_registry().lookup("Connection"))
+    regfile = tmp_path / "own.reg"
+    reg.save(regfile)
+    a, b = _charge(tmp_path)
+    script = _script(tmp_path, ["Linkup"])
+    assert run(["simulate", "--controller", str(a), "--controlee", str(b),
+                "--script", str(script), "--registry", str(regfile)]) == 0
+    assert "accepted         : 1" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("model", list(TamperModel))
