@@ -269,7 +269,7 @@ def load_intercepts(path) -> InterceptLog:
     return log
 
 
-def extract_ciphertext(frames: InterceptLog, mode: CipherMode = CipherMode.FULL) -> bytes:
+def extract_ciphertext(frames: InterceptLog, mode: CipherMode) -> bytes:
     """Concatenate the ciphered bytes of a tap's wire frames, skipping clear fields:
     ``mode.ciphered`` of each frame's 32-byte payload."""
     wire = np.frombuffer(frames._frames, dtype=np.uint8).reshape(-1, WIRE_LEN)

@@ -26,10 +26,6 @@ ADDRESS_LEN = 4
 WIRE_LEN = FRAME_LEN + ADDRESS_LEN
 _CHANNEL_COUNT = 7
 
-CHANNEL_SLICE = slice(5, 19)
-AUX_SLICE = slice(19, 28)
-TRAILER_SLICE = slice(28, 32)
-
 # One key block per frame, addressed by ADDRESS_LEN bytes; a block is as
 # long as the region its cipher mode XORs (CipherMode.key_length).
 MAX_ADDRESS = 2 ** (8 * ADDRESS_LEN) - 1
@@ -78,19 +74,6 @@ class CommandFrame:
             raise BadLength(f"command frame is {FRAME_LEN} bytes, got {len(self.data)}")
         if self.data[:5] != HEADER:
             raise ValueError(f"bad frame header {self.data[:5].hex()}")
-
-    @property
-    def channels(self) -> tuple:
-        """The seven control-channel values."""
-        return _CHANNELS.unpack(self.data[CHANNEL_SLICE])
-
-    @property
-    def aux(self) -> bytes:
-        return self.data[AUX_SLICE]
-
-    @property
-    def trailer(self) -> bytes:
-        return self.data[TRAILER_SLICE]
 
 
 def encode_command(channels, aux: bytes, trailer: bytes) -> CommandFrame:
@@ -164,8 +147,7 @@ def _apply_pad(data: bytes, key: bytes, mode: CipherMode) -> bytes:
     return pad.to_bytes(FRAME_LEN, "big")
 
 
-def otp_encrypt(frame: CommandFrame, key: bytes, addr: int,
-                mode: CipherMode = CipherMode.FULL) -> WireFrame:
+def otp_encrypt(frame: CommandFrame, key: bytes, addr: int, mode: CipherMode) -> WireFrame:
     """XOR the mode's payload region with ``key`` and attach the address."""
     payload = _apply_pad(frame.data, key, mode)  # checks it is 32 bytes
     if not 0 <= addr <= MAX_ADDRESS:
@@ -176,8 +158,7 @@ def otp_encrypt(frame: CommandFrame, key: bytes, addr: int,
     return wire
 
 
-def otp_decrypt(wire: WireFrame, key: bytes,
-                mode: CipherMode = CipherMode.FULL) -> bytes:
+def otp_decrypt(wire: WireFrame, key: bytes, mode: CipherMode) -> bytes:
     """Invert otp_encrypt; returns a 32-byte candidate still to be validated."""
     return _apply_pad(wire.payload, key, mode)
 

@@ -55,7 +55,7 @@ class RxOutcome:
         return self.frame is not None
 
     @classmethod
-    def accept(cls, frame: CommandFrame, name: str | None = None) -> "RxOutcome":
+    def accept(cls, frame: CommandFrame, name: str) -> "RxOutcome":
         return cls(frame, name)
 
     @classmethod

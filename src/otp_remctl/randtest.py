@@ -189,7 +189,9 @@ class RunLengthResult:
 
     For each checked length l, the fraction of runs of that length must
     lie within 2**-l +- 3*sqrt(2**-l * (1 - 2**-l) / R), R = total runs.
-    Lengths 1 .. floor(log2(R)) - 2 are checked.
+    Lengths 1 .. floor(log2(R)) - 2 are checked.  With fewer than 8 runs
+    that range is empty (``max_checked == 0``) and the verdict is a fail:
+    no length was checked.
     """
 
     histogram: dict
@@ -204,7 +206,7 @@ def golomb_run_lengths(seq: BitSequence) -> RunLengthResult:
     histogram = run_length_histogram(seq)
     total = sum(histogram.values())
     max_checked = max(int(math.log2(total)) - 2, 0)
-    ok = True
+    ok = max_checked > 0
     worst = 0.0
     for length in range(1, max_checked + 1):
         expected = 2.0 ** -length
@@ -240,10 +242,10 @@ class AutocorrSeries:
             raise OutOfRange(f"lag {tau} outside computed range +-{self.max_lag}")
         return float(self.values[self.max_lag + t])
 
-    def fraction_within_bound(self, k: float = 4.0) -> float:
-        """Fraction of positive lags with |C(t)| <= k / sqrt(n - t)."""
+    def fraction_within_bound(self) -> float:
+        """Fraction of positive lags with |C(t)| <= 4 / sqrt(n - t)."""
         taus = np.arange(1, self.max_lag + 1)
-        bound = k / np.sqrt(self.n - taus)
+        bound = 4.0 / np.sqrt(self.n - taus)
         positive = self.values[self.max_lag + 1:]
         return float(np.count_nonzero(np.abs(positive) <= bound) / taus.size)
 

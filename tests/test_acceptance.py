@@ -181,7 +181,7 @@ def test_criterion_06_ciphertext_randomness_proportions(corpus_bits):
 def test_criterion_07_ciphertext_autocorrelation(corpus_bits):
     seq = rt.BitSequence(corpus_bits.bits[:1_000_000])
     series = rt.autocorrelation(seq, 1000)
-    frac = series.fraction_within_bound(4.0)
+    frac = series.fraction_within_bound()
     ok = series.c(0) == 1.0 and frac >= 0.99
     _verdict(7, "ciphertext autocorrelation", ok,
              f"(c0={series.c(0):g}, {100 * frac:.2f}% of lags in bound)")

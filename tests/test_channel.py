@@ -221,7 +221,7 @@ def test_extract_ciphertext_modes():
     assert len(full) == 64 and full[:32] == _wire(0)[:32]
     assert len(sel) == 46 and sel[:23] == _wire(0)[5:28]
     distinct = [bytes(range(k * 36, k * 36 + 36)) for k in range(3)]
-    assert extract_ciphertext(_tap(distinct)) == b"".join(f[:32] for f in distinct)
+    assert extract_ciphertext(_tap(distinct), CipherMode.FULL) == b"".join(f[:32] for f in distinct)
     assert (extract_ciphertext(_tap(distinct), CipherMode.SELECTIVE)
             == b"".join(f[5:28] for f in distinct))
 
@@ -229,7 +229,7 @@ def test_extract_ciphertext_modes():
 def test_extract_ciphertext_accepts_log():
     ch = Channel(ChannelConfig(rng_seed=0))
     ch.transmit(_wire(3))
-    assert extract_ciphertext(ch.intercepts) == _wire(3)[:32]
+    assert extract_ciphertext(ch.intercepts, CipherMode.FULL) == _wire(3)[:32]
 
 
 def test_outcomes_and_fresh_records():

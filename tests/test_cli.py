@@ -13,7 +13,7 @@ import pytest
 import otp_remctl
 from otp_remctl import randtest as rt
 from otp_remctl.channel import Channel, ChannelConfig, TamperModel
-from otp_remctl.cli import demo_end_to_end, run
+from otp_remctl.cli import demo_end_to_end, main, run
 from otp_remctl.entropy import SeededSource
 from otp_remctl.frame import CommandRegistry, standard_registry
 from otp_remctl.keystore import SksStore
@@ -38,6 +38,18 @@ def _script(tmp_path, names):
 def test_no_arguments_is_usage_error(capsys):
     assert run([]) == 1
     assert "usage" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["gen-keys", "--source", "seeded:1", "--bytes", "8"], 0),
+    (["gen-keys", "--bytes", "eight"], 1),
+], ids=["gen-keys", "usage-error"])
+def test_main_exits_with_the_status_run_returns(tmp_path, monkeypatch, argv, code):
+    # main() is the installed console script: it reads sys.argv itself.
+    monkeypatch.setattr(sys, "argv", ["otp-remctl", *argv, "--out", str(tmp_path / "k.bin")])
+    with pytest.raises(SystemExit) as exit_info:
+        main()
+    assert exit_info.value.code == code
 
 
 def test_unknown_subcommand_is_usage_error():
@@ -274,6 +286,14 @@ def test_randtest_all_zeros_fails_with_exit_3(tmp_path, capsys):
     report = (tmp_path / "out.csv").read_text().splitlines()
     assert report[0] == "test,n,statistic,p_value,alpha,pass"
     assert any(line.startswith("frequency,16384,128,") for line in report)
+
+
+def test_randtest_run_length_of_two_runs_fails_with_exit_3(tmp_path, capsys):
+    p = tmp_path / "two-runs.bin"
+    p.write_bytes(bytes(100) + b"\xff" * 100)
+    assert run(["randtest", "--input", str(p), "--tests", "runlen"]) == 3
+    assert capsys.readouterr().out.startswith(
+        "run-length: runs=2 checked 1..0 worst-excess=0.000 FAIL\n")
 
 
 def test_randtest_seeded_keys_pass(tmp_path):

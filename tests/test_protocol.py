@@ -458,27 +458,6 @@ def test_columnar_log_matches_a_list_of_records(flight, data, event):
     assert (log == other) == (records == other_records)
 
 
-@given(_STEPS, st.integers(1, 16), st.sampled_from([32, 23]))
-@settings(max_examples=200, deadline=None)
-def test_run_session_lays_out_its_log_as_append_would(steps, blocks, block_size):
-    # run_session writes a command's records in one call; a log read back
-    # one record at a time from the lines of those records must be the
-    # same log, down to the records and the saved bytes.
-    log, records = _fly(steps, blocks, block_size)
-    assert [r.data for r in records if r.event == "sent"] == [r.data for r in log.events("sent")]
-    if len(steps) > blocks:  # the store ran out mid-script
-        assert list(log)[-1] == SessionRecord(blocks, "tx", None, "exhausted", b"")
-    with tempfile.TemporaryDirectory() as d:
-        written, appended = Path(d) / "written.log", Path(d) / "appended.log"
-        appended.write_text(_render(records))
-        rebuilt = SessionLog.load(appended)
-        assert log == rebuilt and log.records == rebuilt.records == records
-        log.save(written)
-        rebuilt.save(appended)
-        assert written.read_bytes() == appended.read_bytes()
-        assert SessionLog.load(written) == log
-
-
 # One flight that logs all 10 events: accepted, dropped, then each discard
 # reason, and the store runs out on the last command.
 _FLIGHT_STEPS = [(Delivery.DELIVERED, "wire", False), (Delivery.DROPPED, "wire", False),
@@ -570,6 +549,8 @@ _SAVED = None
 @pytest.mark.parametrize("edit, lineno, error", [
     pytest.param(lambda f: f[1:], 1, "expected command 0's tx line, not ch", id="ch-first"),
     pytest.param(lambda f: f[2:], 1, "expected command 0's tx line, not rx", id="rx-first"),
+    pytest.param(lambda f: [f[0], *f[2:]], 2, "expected command 0's ch line, not rx",
+                 id="missing-ch"),
     pytest.param(lambda f: [*f[:5], f[4].replace(",ch,1,dropped,", ",rx,1,discarded:bad_length,"),
                             *f[5:]],
                  6, "expected command 2's tx line, not rx", id="rx-after-dropped"),
@@ -585,6 +566,7 @@ _SAVED = None
                  "expected nothing after 'exhausted', not tx", id="exhausted-mid-flight"),
     pytest.param(lambda f: _set(f, 17, 2, "6"), 18, _SAVED, id="exhausted-with-address"),
     pytest.param(lambda f: _set(f, 17, 4, "00"), 18, _SAVED, id="exhausted-with-data"),
+    pytest.param(lambda f: _set(f, 0, 0, "1"), 1, _SAVED, id="seq-of-the-first-line"),
     pytest.param(lambda f: _set(f, 3, 0, "2"), 4, _SAVED, id="seq-of-a-tx-line"),
     pytest.param(lambda f: _set(f, 1, 0, "1"), 2, _SAVED, id="seq-of-a-ch-line"),
     pytest.param(lambda f: _set(f, 2, 0, "1"), 3, _SAVED, id="seq-of-an-rx-line"),

@@ -162,6 +162,13 @@ def test_run_length_too_short():
         golomb_run_lengths(BitSequence([0, 1, 0]))
 
 
+def test_run_length_fails_when_it_checks_no_length():
+    # 800 zeros then 800 ones: 2 runs, fewer than the 8 that length 1 needs
+    r = golomb_run_lengths(BitSequence.from_bytes(bytes(100) + b"\xff" * 100))
+    assert (r.total_runs, r.max_checked, r.worst_excess) == (2, 0, 0.0)
+    assert r.geometric_ok is False
+
+
 def test_run_length_seeded_stream_passes():
     r = golomb_run_lengths(_seeded_bits(6, 125_000))
     assert r.geometric_ok
@@ -286,7 +293,7 @@ def test_autocorrelation_lag_bounds():
 def test_autocorrelation_seeded_stream_is_delta_like():
     seq = _seeded_bits(4, 12_500)
     series = autocorrelation(seq, 100)
-    assert series.fraction_within_bound(4.0) >= 0.99
+    assert series.fraction_within_bound() >= 0.99
 
 
 def test_autocorrelation_verdict():
