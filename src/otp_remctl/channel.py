@@ -91,7 +91,7 @@ class InterceptLog:
     and outcome code.  ``InterceptLog(records)`` raises ValueError unless
     every frame is a 36-byte wire frame, every seq is an integer in int64
     and every outcome is a Delivery or None; then only
-    ``Channel.transmit`` adds rows, through ``_add``.  Intercepts are built
+    ``Channel.transmit`` appends rows.  Intercepts are built
     only when the log is iterated, and ``records`` is a new list on each
     access; ``frames()`` and ``outcomes()`` are the cheap reads.
     """
@@ -112,13 +112,9 @@ class InterceptLog:
                 raise ValueError(f"unknown outcome {outcome!r}")
             if len(frame) != WIRE_LEN:
                 raise _width_error(frame)
-            self._add(seq, frame, _CODE[outcome])
-
-    def _add(self, seq: int, frame: bytes, code: int) -> None:
-        """Append one row whose frame is already known to be 36 bytes."""
-        self._seq.append(seq)
-        self._frames += frame
-        self._outcome.append(code)
+            self._seq.append(seq)
+            self._frames += frame
+            self._outcome.append(_CODE[outcome])
 
     @property
     def records(self) -> list[Intercept]:
@@ -164,18 +160,21 @@ class Channel:
         else:
             code, data = _DELIVERED, bytes(wire)
         tap = self.intercepts
-        tap._add(len(tap._seq), wire, code)
-        return Transmission(_BY_CODE[code], data)
+        tap._seq.append(len(tap._seq))
+        tap._frames += wire
+        tap._outcome.append(code)
+        tx = object.__new__(Transmission)
+        tx.outcome, tx.data = _BY_CODE[code], data
+        return tx
 
     def _tamper(self, wire: bytes) -> bytes:
+        # Only payload bytes; the clear address bytes stay untouched so the
+        # test isolates ciphertext integrity.
+        if self.config.tamper_model is TamperModel.RANDOMIZE_PAYLOAD:
+            return self._rng.randbytes(FRAME_LEN) + wire[FRAME_LEN:]
         mutated = bytearray(wire)
-        if self.config.tamper_model is TamperModel.FLIP_ONE_RANDOM_BYTE:
-            # Only payload bytes; the clear address bytes stay untouched so
-            # the test isolates ciphertext integrity.
-            i = self._rng.randrange(FRAME_LEN)
-            mutated[i] ^= self._rng.randrange(1, 256)
-        else:
-            mutated[:FRAME_LEN] = self._rng.randbytes(FRAME_LEN)
+        i = self._rng.randrange(FRAME_LEN)
+        mutated[i] ^= self._rng.randrange(1, 256)
         return bytes(mutated)
 
 

@@ -119,8 +119,10 @@ class WireFrame:
         return self.payload + self.address.to_bytes(ADDRESS_LEN, "big")
 
 
-# Builds a WireFrame without running __init__ and __post_init__, for the
-# two builders whose own checks already cover both fields.
+# Builds a per-frame value without running its dataclass __init__ or
+# __post_init__; the builder checks what they would and stores every slot.
+# ``parse_wire``, ``otp_encrypt``, ``Channel.transmit`` and
+# ``RxOutcome.accept``/``.discard`` build their values this way.
 _new_wire = object.__new__
 
 
@@ -136,31 +138,36 @@ def parse_wire(data: bytes) -> WireFrame:
     return wire
 
 
-def _apply_pad(data: bytes, key: bytes, mode: CipherMode) -> bytes:
-    """XOR the mode's ciphered region of ``data`` with ``key``; the rest stays clear."""
-    key_length, shift = mode._pad
-    if len(key) != key_length:
-        raise BadLength(f"{mode.value} mode needs a {key_length}-byte key, got {len(key)}")
-    if len(data) != FRAME_LEN:
-        raise BadLength(f"a padded payload is {FRAME_LEN} bytes, got {len(data)}")
-    pad = int.from_bytes(data, "big") ^ (int.from_bytes(key, "big") << shift)
-    return pad.to_bytes(FRAME_LEN, "big")
+def _pad_error(data: bytes, key: bytes, mode: CipherMode) -> BadLength:
+    """The error for a pad whose key or payload has the wrong length."""
+    if len(key) != mode.key_length:
+        return BadLength(f"{mode.value} mode needs a {mode.key_length}-byte key, got {len(key)}")
+    return BadLength(f"a padded payload is {FRAME_LEN} bytes, got {len(data)}")
 
 
 def otp_encrypt(frame: CommandFrame, key: bytes, addr: int, mode: CipherMode) -> WireFrame:
     """XOR the mode's payload region with ``key`` and attach the address."""
-    payload = _apply_pad(frame.data, key, mode)  # checks it is 32 bytes
+    data = frame.data
+    key_length, shift = mode._pad
+    if len(key) != key_length or len(data) != FRAME_LEN:
+        raise _pad_error(data, key, mode)
     if not 0 <= addr <= MAX_ADDRESS:
         raise OutOfRange(f"address must fit in 32 bits, got {addr}")
+    pad = int.from_bytes(data, "big") ^ (int.from_bytes(key, "big") << shift)
     wire = _new_wire(WireFrame)
     wire.address = addr
-    wire.payload = payload
+    wire.payload = pad.to_bytes(FRAME_LEN, "big")
     return wire
 
 
 def otp_decrypt(wire: WireFrame, key: bytes, mode: CipherMode) -> bytes:
     """Invert otp_encrypt; returns a 32-byte candidate still to be validated."""
-    return _apply_pad(wire.payload, key, mode)
+    data = wire.payload
+    key_length, shift = mode._pad
+    if len(key) != key_length or len(data) != FRAME_LEN:
+        raise _pad_error(data, key, mode)
+    pad = int.from_bytes(data, "big") ^ (int.from_bytes(key, "big") << shift)
+    return pad.to_bytes(FRAME_LEN, "big")
 
 
 # The five stock commands: (name, channels, aux byte 21, trailer).

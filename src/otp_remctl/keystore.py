@@ -119,9 +119,10 @@ class SksStore:
 
         Idempotent: a no-op when ``addr`` is at or below consumed_count.
         """
-        burned = max(0, min(addr, self.block_count) - self._next)
-        self._next += burned
-        return burned
+        start = self._next
+        if addr > start:
+            self._next = addr if addr < self.block_count else self.block_count
+        return self._next - start
 
     def consumed_bitmap(self) -> bytes:
         """Ledger packed one bit per block, MSB-first (the file encoding)."""

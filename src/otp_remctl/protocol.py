@@ -56,11 +56,15 @@ class RxOutcome:
 
     @classmethod
     def accept(cls, frame: CommandFrame, name: str) -> "RxOutcome":
-        return cls(frame, name)
+        outcome = object.__new__(cls)
+        outcome.frame, outcome.name, outcome.reason = frame, name, None
+        return outcome
 
     @classmethod
     def discard(cls, reason: DiscardReason) -> "RxOutcome":
-        return cls(None, None, reason)
+        outcome = object.__new__(cls)
+        outcome.frame, outcome.name, outcome.reason = None, None, reason
+        return outcome
 
 
 class Controller:
@@ -155,24 +159,26 @@ _RX_DISCARDED = {r.value: _KIND["rx", f"discarded:{r.value}"] for r in DiscardRe
 # A flag on a record's kind byte, above its kind code: the record's data
 # repeats the previous record's (no bytes stored).
 _REPEATS, _CODE = 0x80, 0x7F
+# The data length each of these kinds fixes; the length column holds the rest.
+_SIZE = {_TX_SENT: WIRE_LEN, _TX_EXHAUSTED: 0, _RX_ACCEPTED: FRAME_LEN}
 
 
 class SessionLog:
     """Ordered record of every send, channel event and receive outcome.
 
-    The log is columnar and stores nothing it can derive.  Each record
-    keeps one kind byte, its index in the fixed table of (direction,
-    event) pairs plus a flag when its data repeats the previous record's;
-    other data goes to one bytearray and its length to an int64 column.
-    So a frame is stored once: the ch record repeats the tx record's bytes
-    unless the frame was tampered with, and a discarding rx record repeats
-    the ch record's.  Every command opens with a tx record, so a record's
-    seq is its command's index and its address is the address field of
-    that command's frame (none for ``exhausted``).  ``_command`` and
-    ``_exhausted`` are the writers, ``_walk`` is the one reader, and
+    The log is columnar and stores nothing it can derive.  Each record keeps
+    one kind byte, its index in the fixed table of (direction, event) pairs
+    plus a flag when its data repeats the previous record's; other data goes
+    to one bytearray and its length, unless ``_SIZE`` fixes it, to an int64
+    column.  So a frame is stored once: the ch record repeats the tx
+    record's bytes unless the frame was tampered with, and a discarding rx
+    record repeats the ch record's.  Every command opens with a tx record,
+    so a record's seq is its command's index and its address is the address
+    field of that command's frame (none for ``exhausted``).  ``_command``
+    and ``_exhausted`` are the writers, ``_walk`` is the one reader, and
     ``load`` replays a file through the writers, so equal logs have equal
-    columns.  Records are built only when the log is read: ``records`` is
-    a new list on each access."""
+    columns.  Records are built only when the log is read: ``records`` is a
+    new list on each access."""
 
     def __init__(self) -> None:
         self._kind = array("B")
@@ -186,15 +192,14 @@ class SessionLog:
         dropped frame); and, unless ``rx`` is None, the ``rx`` kind with the
         accepted ``plain`` text, or with the received ``data`` when ``plain``
         is None."""
-        stored, lengths, kinds = self._data, self._length, self._kind
+        stored, kinds = self._data, self._kind
         stored += wire
-        lengths.append(len(wire))
         kinds.append(_TX_SENT)
         if data is None or data == wire:
             kinds.append(ch | _REPEATS)
         else:
             stored += data
-            lengths.append(len(data))
+            self._length.append(len(data))
             kinds.append(ch)
         if rx is None:
             return
@@ -202,13 +207,11 @@ class SessionLog:
             kinds.append(rx | _REPEATS)
         else:
             stored += plain
-            lengths.append(len(plain))
             kinds.append(rx)
 
     def _exhausted(self) -> None:
         """Append the tx ``exhausted`` record, which has no data."""
         self._kind.append(_TX_EXHAUSTED)
-        self._length.append(0)
 
     def _walk(self):
         """(seq, address, kind code, data) of each record in log order: a tx
@@ -219,7 +222,7 @@ class SessionLog:
         seq, end = -1, 0
         for kind in self._kind:
             if not kind & _REPEATS:
-                start, end = end, end + next(lengths)
+                start, end = end, end + (_SIZE[kind] if kind in _SIZE else next(lengths))
                 chunk = data[start:end]
             if kind <= _TX_EXHAUSTED:  # a tx record opens the next command
                 seq += 1

@@ -477,6 +477,33 @@ def test_flight_summary_counts_match_log_and_sidecar(flight, capsys):
     assert sent == channel["delivered"] + dropped + tampered
 
 
+# The session log, corpus and sidecar of tests/test_golden.py's flight flown
+# with --tamper-model randomize, which that file does not pin.
+_RANDOMIZED = {
+    "full": {
+        "session.log": "72624f249c807d7da5d8f38ed85f42d7b2f48d28abf2620a8291dc2ada235c86",
+        "corpus.bin": "72654a268f4a5d993314b337b6444fa70ae8572b8057017e59a4a5c676ab76c9",
+        "corpus.bin.idx": "c5a4fb32b827a4dbade2cc4f0294c35f546ef29c5a8e73ac5457904678b796de",
+    },
+    "selective": {
+        "session.log": "7cc9f50a13b8069225cd26d519ecd0df7512d4aba82e79e3c697d31136732565",
+        "corpus.bin": "696e489cbc999a592adf2340623b7e142f858b9eb200ceb143812768b2e61e39",
+        "corpus.bin.idx": "c5a4fb32b827a4dbade2cc4f0294c35f546ef29c5a8e73ac5457904678b796de",
+    },
+}
+
+
+@pytest.mark.parametrize("mode", sorted(_RANDOMIZED))
+def test_randomize_flight_outputs_are_byte_exact(mode, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _charge(Path("."), blocks=256, mode=mode, seed=5)
+    _script(Path("."), ["Connection", "Forward", "Turn Left", "Backward", "Turn Right"] * 40)
+    assert run(["intercept-export", *_FLIGHT, "--tamper-model", "randomize",
+                "--out", "corpus.bin", "--log", "session.log"]) == 0
+    assert {name: hashlib.sha256(Path(name).read_bytes()).hexdigest()
+            for name in _RANDOMIZED[mode]} == _RANDOMIZED[mode]
+
+
 def test_demo_output(tmp_path, capsys):
     csv = tmp_path / "demo.csv"
     assert run(["demo", "--seed", "7", "--out", str(csv)]) == 0

@@ -130,6 +130,26 @@ def test_discard_through_accepts_int(make_pair):
     assert s.discard_through(2) == 2
 
 
+@given(ledger=st.integers(1, 64).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))),
+       addr=st.integers(-4, 80) | st.integers(0, 2 ** 64))
+@example(ledger=(8, 4), addr=2)  # below the ledger
+@example(ledger=(8, 4), addr=4)  # at it
+@example(ledger=(8, 4), addr=6)  # above it, inside the store
+@example(ledger=(8, 4), addr=8)  # addr == block_count
+@example(ledger=(8, 4), addr=9)  # one past the end of the store
+@example(ledger=(8, 8), addr=9)  # past the end of an exhausted store
+@example(ledger=(8, 0), addr=2 ** 63)  # far past it
+@settings(max_examples=300)
+def test_discard_through_burns_up_to_the_end_of_the_store(ledger, addr):
+    blocks, consumed = ledger
+    store = SksStore(32, blocks, bytes(32 * blocks))
+    store.discard_through(consumed)
+    assert store.consumed_count == consumed
+    burned = max(0, min(addr, blocks) - consumed)
+    assert store.discard_through(addr) == burned
+    assert store.consumed_count == consumed + burned
+
+
 def test_remaining(make_pair):
     s, _ = make_pair(blocks=10)
     s.take_block(0)

@@ -1,7 +1,12 @@
+import dataclasses
 import enum
+import functools
+import random
 import re
+import sys
 import tempfile
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -15,6 +20,7 @@ from otp_remctl.frame import (
     MAX_ADDRESS,
     CipherMode,
     CommandFrame,
+    CommandRegistry,
     WireFrame,
     otp_decrypt,
     otp_encrypt,
@@ -159,16 +165,68 @@ def test_selective_mode_roundtrip_and_tamper():
     assert clee.receive(bytes(wire)).reason is DiscardReason.VALIDATION_FAILED
 
 
-@pytest.mark.parametrize("make", [
-    lambda: WireFrame(7, bytes(32)),
-    lambda: Transmission(Delivery.TAMPERED, bytes(36)),
-    lambda: RxOutcome.accept(standard_registry().lookup("Forward"), "Forward"),
-    lambda: RxOutcome.discard(DiscardReason.REPLAY_OR_STALE),
-], ids=["wire", "transmission", "accepted", "discarded"])
-def test_per_frame_records_are_slotted_values(make):
+_WIRE = otp_encrypt(FORWARD, bytes(32), 0, CipherMode.FULL).to_bytes()
+
+
+def _transmitted(delivery: Delivery) -> Transmission:
+    """Channel.transmit's value for _WIRE when the link ``delivery``s it."""
+    config = {Delivery.DELIVERED: ChannelConfig(),
+              Delivery.DROPPED: ChannelConfig(loss_prob=1.0),
+              Delivery.TAMPERED: ChannelConfig(
+                  tamper_prob=1.0, tamper_model=TamperModel.RANDOMIZE_PAYLOAD)}[delivery]
+    return Channel(config).transmit(_WIRE)
+
+
+def _tampered() -> bytes:
+    # seed 0's draws: the loss roll, the tamper roll, then 32 payload bytes
+    rng = random.Random(0)
+    rng.random(), rng.random()
+    return rng.randbytes(32) + _WIRE[32:]
+
+
+def _received(reason: DiscardReason | None) -> RxOutcome:
+    """Controlee.receive's value for a frame it accepts (None) or discards for ``reason``."""
+    ctrl, clee = _pair(blocks=4)
+    wire = ctrl.send(FORWARD).to_bytes()
+    if reason is DiscardReason.BAD_LENGTH:
+        wire = wire[:-1]
+    elif reason is DiscardReason.REPLAY_OR_STALE:
+        clee.receive(wire)
+    elif reason is DiscardReason.KEY_EXHAUSTED:
+        wire = wire[:32] + (4).to_bytes(4, "big")  # one past the last block
+    elif reason is DiscardReason.VALIDATION_FAILED:
+        wire = bytes([wire[0] ^ 1]) + wire[1:]
+    return clee.receive(wire)
+
+
+# (make, built): ``make`` returns a fresh per-frame value, which may come from
+# a builder that skips the dataclass __init__; ``built`` is the same value made
+# by the constructor.
+@pytest.mark.parametrize("make, built", [
+    (lambda: WireFrame(7, bytes(32)), WireFrame(7, bytes(32))),
+    (lambda: Transmission(Delivery.TAMPERED, bytes(36)),
+     Transmission(Delivery.TAMPERED, bytes(36))),
+    (lambda: RxOutcome.accept(standard_registry().lookup("Forward"), "Forward"),
+     RxOutcome(FORWARD, "Forward")),
+    (lambda: RxOutcome.discard(DiscardReason.REPLAY_OR_STALE),
+     RxOutcome(None, None, DiscardReason.REPLAY_OR_STALE)),
+    (lambda: parse_wire(_WIRE), WireFrame(0, _WIRE[:32])),
+    (lambda: otp_encrypt(FORWARD, bytes(32), 0, CipherMode.FULL), WireFrame(0, _WIRE[:32])),
+    (lambda: _transmitted(Delivery.DELIVERED), Transmission(Delivery.DELIVERED, _WIRE)),
+    (lambda: _transmitted(Delivery.DROPPED), Transmission(Delivery.DROPPED, None)),
+    (lambda: _transmitted(Delivery.TAMPERED), Transmission(Delivery.TAMPERED, _tampered())),
+    (lambda: _received(None), RxOutcome(FORWARD, "Forward")),
+    *((lambda r=r: _received(r), RxOutcome(None, None, r)) for r in DiscardReason),
+], ids=["wire", "transmission", "accepted", "discarded", "parse_wire", "otp_encrypt",
+        *(f"transmit-{d.value}" for d in Delivery), "receive-accepted",
+        *(f"receive-{r.value}" for r in DiscardReason)])
+def test_per_frame_records_are_slotted_values(make, built):
     a, b = make(), make()
-    assert a == b and a is not b and repr(a) == repr(b)
-    assert not hasattr(a, "__dict__")
+    # every field is set: a slot left unset raises AttributeError here
+    assert [getattr(a, f.name) for f in dataclasses.fields(a)] == [
+        getattr(built, f.name) for f in dataclasses.fields(built)]
+    assert a == b == built and a is not b and repr(a) == repr(b) == repr(built)
+    assert type(a) is type(built) and not hasattr(a, "__dict__")
     with pytest.raises(TypeError):
         hash(a)
 
@@ -747,3 +805,73 @@ def test_session_log_save_memory_is_bounded(tmp_path):
         tracemalloc.stop()
     assert p.read_bytes() == "".join(f"{line}\n" for line in log._lines()).encode()
     assert peak < p.stat().st_size
+
+
+class _Mangler:
+    """A link that passes frame 0 on, flips a ciphered byte of frame 1 and
+    hands frame 0 back in place of frame 2: an accept, a validation discard
+    and a replay."""
+
+    def __init__(self) -> None:
+        self.channel, self.delivered = Channel(ChannelConfig()), []
+
+    def transmit(self, wire: bytes) -> Transmission:
+        data = self.channel.transmit(wire).data
+        self.delivered.append(data)
+        if len(self.delivered) == 1:
+            return Transmission(Delivery.DELIVERED, data)
+        if len(self.delivered) == 2:
+            return Transmission(Delivery.TAMPERED, data[:10] + bytes([data[10] ^ 1]) + data[11:])
+        return Transmission(Delivery.TAMPERED, self.delivered[0])
+
+
+@pytest.mark.parametrize("mode", list(CipherMode))
+def test_run_session_calls_the_public_names_the_tracer_reads(mode, monkeypatch):
+    """The traced benchmark run (bench/tracing.py) finds each per-frame span
+    by its public name and its parent, so a public call inlined away breaks
+    that run while every other test passes.  Spies wrapped the way the
+    tracer wraps (each class attribute, each module's alias of a function)
+    pin the call graph of a run_session flight here; this test goes when
+    ROADMAP item 17 deletes the tracer."""
+    calls, stack = Counter(), ["run_session"]
+
+    def spy(name, fn):
+        @functools.wraps(fn)
+        def spied(*args, **kwargs):
+            calls[stack[-1], name] += 1
+            stack.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                stack.pop()
+        return spied
+
+    for owner, attr in ((Controller, "send"), (Channel, "transmit"), (Controlee, "receive"),
+                        (SksStore, "discard_through"), (SksStore, "take_block"),
+                        (CommandRegistry, "match")):
+        monkeypatch.setattr(owner, attr, spy(f"{owner.__name__}.{attr}", vars(owner)[attr]))
+    monkeypatch.setattr(RxOutcome, "accept",
+                        classmethod(spy("RxOutcome.accept", vars(RxOutcome)["accept"].__func__)))
+    for fn in (otp_encrypt, parse_wire, otp_decrypt):
+        spied = spy(fn.__name__, fn)
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "otp_remctl" and vars(module).get(fn.__name__) is fn:
+                monkeypatch.setattr(module, fn.__name__, spied)
+    tx, rx = charge(SeededSource(1), mode.key_length, 4)
+    log = run_session(Controller(tx), Controlee(rx), [FORWARD] * 3, _Mangler())
+    assert [r.event for r in log if r.direction == "rx"] == [
+        "accepted", "discarded:validation_failed", "discarded:replay_or_stale"]
+    receive = "Controlee.receive"
+    assert calls == {
+        ("run_session", "Controller.send"): 3,
+        ("Controller.send", "SksStore.take_block"): 3,
+        ("Controller.send", "otp_encrypt"): 3,
+        ("run_session", "Channel.transmit"): 3,
+        ("run_session", receive): 3,
+        (receive, "parse_wire"): 3,
+        (receive, "SksStore.discard_through"): 2,  # the replay is refused before
+        (receive, "SksStore.take_block"): 2,
+        (receive, "otp_decrypt"): 2,
+        (receive, "CommandRegistry.match"): 2,
+        (receive, "RxOutcome.accept"): 1,
+    }
