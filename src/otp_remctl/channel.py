@@ -4,12 +4,11 @@ Every transmitted frame lands in the tap's intercept log exactly as sent,
 whatever happens to it on the link, together with that outcome.  Delivery
 is in order; there is no duplication or reordering.
 
-The ``.idx`` sidecar and the session log are text files written by
-``_write_lines``, and read back only if their writer writes them again.
+The ``.idx`` sidecar is a line file (``_textfile``), read back only if
+export_intercepts writes it again.
 """
 
 import enum
-import itertools
 import operator
 import random
 from array import array
@@ -18,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._textfile import check_written_back, read_lines, write_lines
 from .frame import FRAME_LEN, WIRE_LEN, CipherMode
 
 
@@ -158,7 +158,7 @@ class Channel:
         elif rng.random() < config.tamper_prob:
             code, data = _TAMPERED, self._tamper(wire)
         else:
-            code, data = _DELIVERED, bytes(wire)
+            code, data = _DELIVERED, wire if type(wire) is bytes else bytes(wire)
         tap = self.intercepts
         tap._seq.append(len(tap._seq))
         tap._frames += wire
@@ -178,34 +178,6 @@ class Channel:
         return bytes(mutated)
 
 
-def _lines(path) -> list[str]:
-    """A file's lines, each byte read as one latin-1 character and split only
-    on "\n", so a "\r" or a byte that is not ASCII is left for the write-back
-    check; ValueError naming ``path:line`` unless it ends in a newline."""
-    lines = Path(path).read_bytes().decode("latin-1").split("\n")
-    if lines.pop():
-        raise ValueError(f"{path}:{len(lines) + 1}: no newline at the end of the file")
-    return lines
-
-
-def _write_lines(path, lines) -> None:
-    """Write each line (none empty) and "\n" as bytes, 4096 lines at a time so
-    memory stays bounded: text mode writes "\r\n" on Windows."""
-    lines = iter(lines)
-    with open(path, "wb") as f:
-        while batch := list(itertools.islice(lines, 4096)):
-            f.write(("\n".join(batch) + "\n").encode())
-
-
-def _check_written_back(path, read, written, writer: str) -> None:
-    """ValueError naming the first ``read`` line of ``path`` that is not the
-    ``written`` line at its place, as far as the shorter goes; a loader passes
-    the lines before the first it cannot parse, so the first fault is named."""
-    for n, (r, w) in enumerate(zip(read, written), start=1):
-        if r != w:
-            raise ValueError(f"{path}:{n}: not in the form {writer} writes: {w!r}")
-
-
 def _sidecar_lines(seqs, codes):
     """The ``.idx`` lines of these columns, frame k's at ``36*k``, made as read."""
     fields, offsets = _FIELDS, range(0, WIRE_LEN * len(seqs), WIRE_LEN)
@@ -216,7 +188,7 @@ def export_intercepts(log: InterceptLog, path) -> None:
     """Write the corpus (concatenated frames) plus a ``.idx`` sidecar."""
     path = Path(path)
     path.write_bytes(log._frames)
-    _write_lines(str(path) + ".idx", _sidecar_lines(log._seq, log._outcome))
+    write_lines(str(path) + ".idx", _sidecar_lines(log._seq, log._outcome))
 
 
 def load_intercepts(path) -> InterceptLog:
@@ -237,7 +209,7 @@ def load_intercepts(path) -> InterceptLog:
     if not sidecar.exists():
         log._seq, log._outcome = array("q", range(count)), array("B", bytes(count))
         return log
-    lines = _lines(sidecar)
+    lines = read_lines(sidecar)
     if len(lines) > count:
         raise ValueError(f"{sidecar}:{count + 1}: more lines than the {count} frames")
     seqs, codes, field_code, fault = log._seq, log._outcome, _FIELD_CODE, None
@@ -259,7 +231,7 @@ def load_intercepts(path) -> InterceptLog:
     except ValueError as e:
         fault = e
     # each line read before a fault added one row, so the rows end before it
-    _check_written_back(sidecar, lines, _sidecar_lines(seqs, codes), "export_intercepts")
+    check_written_back(sidecar, lines, _sidecar_lines(seqs, codes), "export_intercepts")
     if fault is not None:
         raise ValueError(f"{sidecar}:{len(codes) + 1}: {fault}")
     if len(lines) < count:

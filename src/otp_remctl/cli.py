@@ -149,9 +149,8 @@ def _cmd_session(args) -> int:
 
 
 def _load_test_bytes(args) -> bytes:
-    data = Path(args.input).read_bytes()
     if args.format == "raw":
-        return data
+        return Path(args.input).read_bytes()
     # A corpus is 36-byte wire frames; strip the clear fields so only
     # ciphered bytes are tested.
     mode = CipherMode(args.format.removeprefix("corpus-"))

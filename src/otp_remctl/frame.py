@@ -70,10 +70,16 @@ class CommandFrame:
     data: bytes
 
     def __post_init__(self) -> None:
-        if len(self.data) != FRAME_LEN:
-            raise BadLength(f"command frame is {FRAME_LEN} bytes, got {len(self.data)}")
-        if self.data[:5] != HEADER:
-            raise ValueError(f"bad frame header {self.data[:5].hex()}")
+        data = self.data
+        if len(data) != FRAME_LEN:
+            raise BadLength(f"command frame is {FRAME_LEN} bytes, got {len(data)}")
+        if data[:5] != HEADER:
+            raise ValueError(f"bad frame header {data[:5].hex()}")
+        # Kept as exact bytes, so that ``_int``, the big-endian integer that
+        # otp_encrypt pads, cannot go stale; ``_int`` is no field.
+        if type(data) is not bytes:
+            object.__setattr__(self, "data", data := bytes(data))
+        object.__setattr__(self, "_int", int.from_bytes(data, "big"))
 
 
 def encode_command(channels, aux: bytes, trailer: bytes) -> CommandFrame:
@@ -134,7 +140,8 @@ def parse_wire(data: bytes) -> WireFrame:
     # always fit in 32 bits.
     wire = _new_wire(WireFrame)
     wire.address = int.from_bytes(data[FRAME_LEN:], "big")
-    wire.payload = bytes(data[:FRAME_LEN])
+    # only a buffer that is not exact bytes can change later, so only it is copied
+    wire.payload = data[:FRAME_LEN] if type(data) is bytes else bytes(data[:FRAME_LEN])
     return wire
 
 
@@ -147,13 +154,12 @@ def _pad_error(data: bytes, key: bytes, mode: CipherMode) -> BadLength:
 
 def otp_encrypt(frame: CommandFrame, key: bytes, addr: int, mode: CipherMode) -> WireFrame:
     """XOR the mode's payload region with ``key`` and attach the address."""
-    data = frame.data
     key_length, shift = mode._pad
-    if len(key) != key_length or len(data) != FRAME_LEN:
-        raise _pad_error(data, key, mode)
+    if len(key) != key_length:
+        raise _pad_error(frame.data, key, mode)
     if not 0 <= addr <= MAX_ADDRESS:
         raise OutOfRange(f"address must fit in 32 bits, got {addr}")
-    pad = int.from_bytes(data, "big") ^ (int.from_bytes(key, "big") << shift)
+    pad = frame._int ^ (int.from_bytes(key, "big") << shift)
     wire = _new_wire(WireFrame)
     wire.address = addr
     wire.payload = pad.to_bytes(FRAME_LEN, "big")
@@ -225,7 +231,7 @@ class CommandRegistry:
 
     def match(self, data: bytes):
         """Name of the command whose bytes equal ``data`` exactly, else None."""
-        return self._by_bytes.get(bytes(data))
+        return self._by_bytes.get(data if type(data) is bytes else bytes(data))
 
     def names(self) -> tuple:
         return tuple(self._frames)

@@ -106,13 +106,13 @@ class SksStore:
         Raises OutOfRange past the end of the store and KeyReused below
         consumed_count; the block's bytes are returned exactly once, ever.
         """
+        if self._next <= addr < self.block_count:
+            self._next = addr + 1
+            off = addr * self.block_size
+            return self._material[off:off + self.block_size]
         if not 0 <= addr < self.block_count:
             raise OutOfRange(f"address {addr} not in store of {self.block_count} blocks")
-        if addr < self._next:
-            raise KeyReused(f"key block {addr} already consumed")
-        self._next = addr + 1
-        off = addr * self.block_size
-        return self._material[off:off + self.block_size]
+        raise KeyReused(f"key block {addr} already consumed")
 
     def discard_through(self, addr: int) -> int:
         """Burn every unconsumed block below ``addr``; return how many.

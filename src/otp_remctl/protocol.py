@@ -19,7 +19,8 @@ import enum
 from array import array
 from dataclasses import dataclass
 
-from .channel import Delivery, _check_written_back, _lines, _write_lines
+from ._textfile import check_written_back, read_lines, write_lines
+from .channel import Delivery
 from .errors import BadLength, KeyExhausted, OutOfRange
 from .frame import (
     FRAME_LEN,
@@ -78,11 +79,12 @@ class Controller:
         """Consume one key block and emit the wire frame carrying its address."""
         store = self.store
         addr = store.consumed_count
-        if addr >= store.block_count:
+        try:
+            key = store.take_block(addr)
+        except OutOfRange:  # the ledger has reached the end of the store
             raise KeyExhausted(
                 f"store exhausted: all {store.block_count} blocks consumed; recharge required"
-            )
-        key = store.take_block(addr)
+            ) from None
         self.frames_sent += 1
         return otp_encrypt(cmd, key, addr, store.mode)
 
@@ -236,7 +238,7 @@ class SessionLog:
                 direction, event = _KINDS[kind]
                 yield SessionRecord(seq, direction, address, event, data)
 
-    def _lines(self):
+    def _save_lines(self):
         """The lines ``save`` writes, without their newlines, made as read."""
         prev_seq, prev_data = None, None
         for seq, address, kind, data in self._walk():
@@ -258,7 +260,7 @@ class SessionLog:
                                 if e == event or e.startswith(event + ":")}))
 
     def save(self, path) -> None:
-        _write_lines(path, self._lines())
+        write_lines(path, self._save_lines())
 
     @classmethod
     def load(cls, path) -> "SessionLog":
@@ -268,7 +270,7 @@ class SessionLog:
         was dropped, an rx line whose data fits its event, and a tx
         ``exhausted`` line ends the file.  ``save`` must write the replayed
         log back byte for byte, which fixes each seq, address and repeat."""
-        log, lines = cls(), _lines(path)
+        log, lines = cls(), read_lines(path)
         # The line due next: command k's tx, ch or rx line, or None after
         # "exhausted"; and the open command's _command arguments.
         k, due, args, lineno, fault = 0, "tx", [], 0, None
@@ -318,7 +320,7 @@ class SessionLog:
             fault = e
         if args:  # the open command's tx line, and its ch line if read
             log._command(*args) if len(args) == 3 else log._command(args[0], _CH["dropped"], None)
-        _check_written_back(path, lines[:lineno - 1], log._lines(), "save")
+        check_written_back(path, lines[:lineno - 1], log._save_lines(), "save")
         if fault is not None:
             raise ValueError(f"{path}:{lineno}: {fault}")
         return log

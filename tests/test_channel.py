@@ -30,6 +30,22 @@ def test_clean_channel_delivers_identically():
     assert tx.data == _wire(1)
 
 
+class _SubBytes(bytes):
+    pass
+
+
+@pytest.mark.parametrize("make", [bytearray, lambda b: memoryview(bytearray(b)), _SubBytes],
+                         ids=["bytearray", "memoryview", "bytes-subclass"])
+def test_delivered_frame_is_a_copy_of_a_buffer_that_is_not_bytes(make):
+    ch = Channel(ChannelConfig(rng_seed=0))
+    buf = make(_wire(1))
+    tx = ch.transmit(buf)
+    assert tx.outcome is Delivery.DELIVERED and type(tx.data) is bytes and tx.data == _wire(1)
+    if not isinstance(buf, bytes):  # nothing kept aliases the caller's buffer
+        buf[:] = bytes(36)
+    assert tx.data == _wire(1) and ch.intercepts.frames() == [_wire(1)]
+
+
 def test_full_loss_drops_everything():
     ch = Channel(ChannelConfig(loss_prob=1.0, rng_seed=0))
     for i in range(50):

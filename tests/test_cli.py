@@ -418,7 +418,7 @@ def test_randtest_json_and_autocorr_outputs(tmp_path):
     assert len(aout.read_text().splitlines()) == 402  # header + lags -200..200
 
 
-def test_intercept_export_and_corpus_randtest(tmp_path):
+def test_intercept_export_and_corpus_randtest(tmp_path, monkeypatch):
     a, b = _charge(tmp_path, blocks=4000, seed=13)
     script = _script(tmp_path, ["Forward"] * 3907)
     corpus = tmp_path / "corpus.bin"
@@ -428,8 +428,15 @@ def test_intercept_export_and_corpus_randtest(tmp_path):
     assert corpus.stat().st_size == 3907 * 36
     idx = (tmp_path / "corpus.bin.idx").read_text().splitlines()
     assert len(idx) == 3907
+    reads, read_bytes = Counter(), Path.read_bytes
+
+    def counted(path):
+        reads[path.name] += 1
+        return read_bytes(path)
+    monkeypatch.setattr(Path, "read_bytes", counted)
     assert run(["randtest", "--input", str(corpus), "--format", "corpus-full",
                 "--tests", "freq,balance,autocorr"]) == 0
+    assert reads == {"corpus.bin": 1, "corpus.bin.idx": 1}
 
 
 _FLIGHT = ["--controller", "a.sks", "--controlee", "b.sks", "--script", "fly.cmds",

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 from types import SimpleNamespace
 
 import numpy as np
@@ -376,3 +379,59 @@ def test_parse_wire_roundtrips_int_addresses(address, mode):
     assert type(back.payload) is bytes and len(back.payload) == FRAME_LEN
     assert type(back.address) is int and back.address == address
     assert otp_decrypt(back, key, mode) == CONNECTION
+
+
+class _SubBytes(bytes):
+    pass
+
+
+# Inputs that are not exact bytes: each must be copied, never kept.
+BUFFERS = {"bytearray": bytearray, "memoryview": lambda b: memoryview(bytearray(b)),
+           "bytes-subclass": _SubBytes}
+
+
+@pytest.mark.parametrize("kind", BUFFERS)
+def test_parse_wire_and_match_copy_a_buffer_that_is_not_bytes(kind):
+    reg = standard_registry()
+    plain = reg.lookup("Forward").data
+    wire = otp_encrypt(reg.lookup("Forward"), bytes(32), 7, CipherMode.FULL).to_bytes()
+    wire_buf, plain_buf = BUFFERS[kind](wire), BUFFERS[kind](plain)
+    parsed = parse_wire(wire_buf)
+    assert type(parsed.payload) is bytes and parsed == parse_wire(wire)
+    assert reg.match(plain_buf) == "Forward"
+    if kind != "bytes-subclass":  # the mutable ones: nothing returned aliases them
+        wire_buf[:] = bytes(WIRE_LEN)
+        plain_buf[:] = bytes(FRAME_LEN)
+        assert parsed.payload == plain and parsed.address == 7
+        assert reg.match(plain_buf) is None
+    assert reg.match(plain) == "Forward" and reg.names() == standard_registry().names()
+
+
+@pytest.mark.parametrize("mode", list(CipherMode))
+@pytest.mark.parametrize("name", standard_registry().names())
+@given(key=st.binary(min_size=32, max_size=32), addr=st.integers(0, 2**32 - 1))
+@settings(max_examples=50)
+def test_encrypt_pads_the_integer_of_the_frame_bytes(mode, name, key, addr):
+    frame, key = standard_registry().lookup(name), key[:mode.key_length]
+    shift = 8 * (FRAME_LEN - mode.ciphered.stop)
+    padded = int.from_bytes(frame.data, "big") ^ (int.from_bytes(key, "big") << shift)
+    wire = otp_encrypt(frame, key, addr, mode)
+    assert wire == WireFrame(addr, padded.to_bytes(FRAME_LEN, "big"))
+
+
+def test_command_frame_integer_survives_copy_pickle_and_replace():
+    frame, backward = CommandFrame(CONNECTION), standard_registry().lookup("Backward")
+    buffer = bytearray(backward.data)
+    from_buffer = CommandFrame(buffer)
+    buffer[5:] = bytes(27)  # a copy was kept, so this changes nothing
+    twins = [copy.copy(frame), copy.deepcopy(frame), pickle.loads(pickle.dumps(frame)),
+             dataclasses.replace(frame), dataclasses.replace(backward, data=CONNECTION)]
+    for twin in twins:
+        assert twin == frame and hash(twin) == hash(frame)
+        assert repr(twin) == repr(frame) == f"CommandFrame(data={CONNECTION!r})"
+    assert dataclasses.replace(frame, data=backward.data) == backward == from_buffer
+    assert type(from_buffer.data) is bytes and [f.name for f in dataclasses.fields(frame)] == ["data"]
+    key = bytes(range(32))
+    for twin in [*twins, from_buffer, dataclasses.replace(frame, data=backward.data)]:
+        wire = otp_encrypt(twin, key, 3, CipherMode.FULL)
+        assert wire.payload == _bytewise_pad(twin.data, key, CipherMode.FULL)

@@ -150,6 +150,31 @@ def test_discard_through_burns_up_to_the_end_of_the_store(ledger, addr):
     assert store.consumed_count == consumed + burned
 
 
+@given(ledger=st.integers(1, 64).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))),
+       addr=st.integers(-4, 80) | st.integers(-2 ** 64, 2 ** 64))
+@example(ledger=(8, 4), addr=-1)  # below 0
+@example(ledger=(8, 4), addr=2)  # below the ledger
+@example(ledger=(8, 4), addr=4)  # at it
+@example(ledger=(8, 4), addr=8)  # addr == block_count
+@example(ledger=(8, 8), addr=8)  # at the end of an exhausted store
+@example(ledger=(8, 0), addr=2 ** 63)  # far past it
+@settings(max_examples=300)
+def test_take_block_raises_what_a_range_then_ledger_check_raises(ledger, addr):
+    blocks, consumed = ledger
+    material = random.Random(blocks).randbytes(32 * blocks)
+    store = SksStore(32, blocks, material, consumed)
+    if not 0 <= addr < blocks:
+        with pytest.raises(OutOfRange, match=f"^address {addr} not in store of {blocks} blocks$"):
+            store.take_block(addr)
+    elif addr < consumed:
+        with pytest.raises(KeyReused, match=f"^key block {addr} already consumed$"):
+            store.take_block(addr)
+    else:
+        assert store.take_block(addr) == material[32 * addr:32 * addr + 32]
+        consumed = addr + 1
+    assert store.consumed_count == consumed
+
+
 def test_remaining(make_pair):
     s, _ = make_pair(blocks=10)
     s.take_block(0)

@@ -803,7 +803,7 @@ def test_session_log_save_memory_is_bounded(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert p.read_bytes() == "".join(f"{line}\n" for line in log._lines()).encode()
+    assert p.read_bytes() == "".join(f"{line}\n" for line in log._save_lines()).encode()
     assert peak < p.stat().st_size
 
 
@@ -825,14 +825,10 @@ class _Mangler:
         return Transmission(Delivery.TAMPERED, self.delivered[0])
 
 
-@pytest.mark.parametrize("mode", list(CipherMode))
-def test_run_session_calls_the_public_names_the_tracer_reads(mode, monkeypatch):
-    """The traced benchmark run (bench/tracing.py) finds each per-frame span
-    by its public name and its parent, so a public call inlined away breaks
-    that run while every other test passes.  Spies wrapped the way the
-    tracer wraps (each class attribute, each module's alias of a function)
-    pin the call graph of a run_session flight here; this test goes when
-    ROADMAP item 17 deletes the tracer."""
+def _spy_on_the_traced_names(monkeypatch) -> Counter:
+    """Spies wrapped the way the tracer wraps (each class attribute, each
+    module's alias of a function); the counter they fill maps each
+    (caller, callee) pair to its calls."""
     calls, stack = Counter(), ["run_session"]
 
     def spy(name, fn):
@@ -857,6 +853,17 @@ def test_run_session_calls_the_public_names_the_tracer_reads(mode, monkeypatch):
         for name, module in list(sys.modules.items()):
             if name.split(".")[0] == "otp_remctl" and vars(module).get(fn.__name__) is fn:
                 monkeypatch.setattr(module, fn.__name__, spied)
+    return calls
+
+
+@pytest.mark.parametrize("mode", list(CipherMode))
+def test_run_session_calls_the_public_names_the_tracer_reads(mode, monkeypatch):
+    """The traced benchmark run (bench/tracing.py) finds each per-frame span
+    by its public name and its parent, so a public call inlined away breaks
+    that run while every other test passes.  The spies pin the call graph
+    of a run_session flight here; this test goes when ROADMAP item 17
+    deletes the tracer."""
+    calls = _spy_on_the_traced_names(monkeypatch)
     tx, rx = charge(SeededSource(1), mode.key_length, 4)
     log = run_session(Controller(tx), Controlee(rx), [FORWARD] * 3, _Mangler())
     assert [r.event for r in log if r.direction == "rx"] == [
@@ -873,5 +880,28 @@ def test_run_session_calls_the_public_names_the_tracer_reads(mode, monkeypatch):
         (receive, "SksStore.take_block"): 2,
         (receive, "otp_decrypt"): 2,
         (receive, "CommandRegistry.match"): 2,
+        (receive, "RxOutcome.accept"): 1,
+    }
+
+
+def test_an_exhausted_send_calls_take_block_alone(monkeypatch):
+    """The graph of a send on an empty store: ``take_block`` refuses the
+    address at the end of the store, and nothing is encrypted or sent."""
+    calls = _spy_on_the_traced_names(monkeypatch)
+    tx, rx = charge(SeededSource(1), 32, 1)
+    log = run_session(Controller(tx), Controlee(rx), [FORWARD] * 3, Channel(ChannelConfig()))
+    assert [r.event for r in log] == ["sent", "delivered", "accepted", "exhausted"]
+    receive = "Controlee.receive"
+    assert calls == {
+        ("run_session", "Controller.send"): 2,
+        ("Controller.send", "SksStore.take_block"): 2,
+        ("Controller.send", "otp_encrypt"): 1,
+        ("run_session", "Channel.transmit"): 1,
+        ("run_session", receive): 1,
+        (receive, "parse_wire"): 1,
+        (receive, "SksStore.discard_through"): 1,
+        (receive, "SksStore.take_block"): 1,
+        (receive, "otp_decrypt"): 1,
+        (receive, "CommandRegistry.match"): 1,
         (receive, "RxOutcome.accept"): 1,
     }

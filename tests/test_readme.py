@@ -1,6 +1,7 @@
 """The README's ``python`` examples run against the current API, its
 randtest example prints what the README shows, and its "Library use"
-section names every name the package root exports."""
+section names every name the package root exports; no module of the
+package imports a name that is private to another."""
 
 import ast
 import re
@@ -66,3 +67,16 @@ def test_readme_library_use_names_every_root_export():
         for name in missing)
     assert not missing, (f"{len(missing)} root exports missing from the README's "
                          f"'Library use' (uses outside __init__.py):\n{report}")
+
+
+def test_no_module_imports_a_private_name_of_a_sibling():
+    """A name that starts with "_" is its own module's; a sibling that needs
+    it imports it under a public name, as from ``_textfile``."""
+    modules = sorted((ROOT / "src" / "otp_remctl").glob("*.py"))
+    assert len(modules) >= 9
+    imports = [f"{path.name}: from .{node.module} import {alias.name}"
+               for path in modules
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+               for alias in node.names if alias.name.startswith("_")]
+    assert imports == []
