@@ -33,7 +33,8 @@ _TEST_TOKENS = ("freq", "runs", "balance", "runlen", "autocorr")
 
 
 class _UsageError(Exception):
-    """Bad flag grammar; rendered with usage text and mapped to exit 1."""
+    """Bad flag grammar, or an output path that names another file flag;
+    mapped to exit 1."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -85,6 +86,21 @@ def _tests_arg(text):
     return tokens
 
 
+def _refuse_overwrite(args, inputs: dict, outputs: dict) -> None:
+    """Refuse an output path that names an input or an earlier output, before
+    anything is read or written.  Each dict maps a flag to its path, or to
+    None when the flag is unset; Path.resolve() decides what is one file."""
+    taken = {Path(path).resolve(): flag for flag, path in inputs.items() if path}
+    for flag, path in outputs.items():
+        if not path:
+            continue
+        key = Path(path).resolve()
+        if key in taken:
+            raise _UsageError(f"otp-remctl {args.command}: error: {flag} and "
+                              f"{taken[key]} name the same file {path}")
+        taken[key] = flag
+
+
 def _read_script(path, registry: CommandRegistry):
     """Command frames for a script file: one name per line, # comments ok."""
     frames = []
@@ -119,6 +135,11 @@ def _cmd_charge(args) -> int:
 
 def _cmd_session(args) -> int:
     """simulate and intercept-export: fly the script, then report the flight."""
+    _refuse_overwrite(
+        args, {"--controller": args.controller, "--controlee": args.controlee,
+               "--script": args.script, "--registry": args.registry},
+        {"--out": args.out, "the --out sidecar": args.out and f"{args.out}.idx",
+         "--log": args.log})
     controller = Controller(SksStore.load(args.controller))
     registry = (standard_registry() if args.registry is None
                 else CommandRegistry.load(args.registry))
@@ -163,6 +184,10 @@ _SPLIT_TESTS = {"freq": ("frequency", rt.monobit_frequency),
 
 
 def _cmd_randtest(args) -> int:
+    sidecar = None if args.format == "raw" else f"{args.input}.idx"
+    _refuse_overwrite(
+        args, {"--input": args.input, "the --input sidecar": sidecar},
+        {"--report": args.report, "--json": args.json, "--autocorr-out": args.autocorr_out})
     data = _load_test_bytes(args)
     if not data:
         raise ValueError(f"{args.input}: no bytes to test")
@@ -188,21 +213,21 @@ def _cmd_randtest(args) -> int:
     for token in args.tests:
         if split and token in _SPLIT_TESTS:
             name, test = _SPLIT_TESTS[token]
-            results = [test(s, args.alpha) for s in seqs]
+            results = [test(s) for s in seqs]
             rows.extend(map(rt.result_row, results))
             prop = rt.pass_proportion(results)
             record(rt.report_row(f"{name}_proportion", prop.m, prop.proportion,
-                                 None, prop.alpha, prop.ok),
+                                 None, rt.ALPHA, prop.ok),
                    f"{name:<10}: {prop.passed}/{prop.m} sequences passed "
                    f"(proportion {prop.proportion:.4f}, "
                    f"acceptance >= {prop.lower:.4f})", prop.ok)
         elif token == "freq":
-            r = rt.monobit_frequency(bits, args.alpha)
+            r = rt.monobit_frequency(bits)
             record(rt.result_row(r),
                    f"frequency : n={r.n} statistic={r.statistic:.4f} "
                    f"p={r.p_value:.4f}", r.passed)
         elif token == "runs":
-            r = rt.nist_runs(bits, args.alpha)
+            r = rt.nist_runs(bits)
             note = f" ({r.note})" if r.note else ""
             record(rt.result_row(r),
                    f"runs      : n={r.n} V={r.statistic:.0f} "
@@ -348,8 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "ciphered bytes")
     p.add_argument("--tests", type=_tests_arg, default=list(_TEST_TOKENS),
                    help=f"comma-separated subset of {','.join(_TEST_TOKENS)}")
-    p.add_argument("--alpha", type=_number(float, 0, 1), default=rt.DEFAULT_ALPHA,
-                   help="significance level for P-value tests")
     p.add_argument("--split-bits", type=_number(int, rt.MIN_TEST_BITS), default=None,
                    help="split the input into sequences of this many bits and "
                         "report the pass proportion for freq/runs")
@@ -373,11 +396,10 @@ def run(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        return args.func(args)
     except _UsageError as exc:
         print(exc, file=sys.stderr)
         return 1
-    try:
-        return args.func(args)
     except (OtpRemctlError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

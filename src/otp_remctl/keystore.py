@@ -19,6 +19,7 @@ refuses a bitmap with a hole (an unconsumed block below a consumed one),
 which no writer makes, so load -> save gives back the same file.
 """
 
+import operator
 import os
 import struct
 import zlib
@@ -42,9 +43,10 @@ _CRC = struct.Struct(">I")
 
 
 def _check_geometry(block_size: int, block_count: int) -> CipherMode:
-    """The cipher mode a store of this geometry serves; ValueError if none."""
-    mode = CipherMode.for_block_size(block_size)
-    if block_count < 1:
+    """The cipher mode a store of this geometry serves; ValueError if none,
+    TypeError for a size or count that is not an integer."""
+    mode = CipherMode.for_block_size(operator.index(block_size))
+    if operator.index(block_count) < 1:
         raise ValueError(f"block_count must be positive, got {block_count}")
     if block_count - 1 > MAX_ADDRESS:
         raise ValueError(f"block_count {block_count} exceeds the 32-bit address space")
@@ -74,6 +76,8 @@ class SksStore:
 
     def __init__(self, block_size: int, block_count: int, key_material: bytes,
                  consumed: int = 0) -> None:
+        block_size, block_count, consumed = map(
+            operator.index, (block_size, block_count, consumed))
         self.mode = _check_geometry(block_size, block_count)
         if len(key_material) != block_size * block_count:
             raise ValueError(
@@ -104,8 +108,11 @@ class SksStore:
         """Return the block at ``addr``, burning it and every block below it.
 
         Raises OutOfRange past the end of the store and KeyReused below
-        consumed_count; the block's bytes are returned exactly once, ever.
+        consumed_count, and TypeError for a non-integer ``addr``, all
+        before the ledger moves; the block's bytes are returned exactly once, ever.
         """
+        if type(addr) is not int:
+            addr = operator.index(addr)
         if self._next <= addr < self.block_count:
             self._next = addr + 1
             off = addr * self.block_size
@@ -118,7 +125,10 @@ class SksStore:
         """Burn every unconsumed block below ``addr``; return how many.
 
         Idempotent: a no-op when ``addr`` is at or below consumed_count.
+        TypeError for a non-integer ``addr``, before the ledger moves.
         """
+        if type(addr) is not int:
+            addr = operator.index(addr)
         start = self._next
         if addr > start:
             self._next = addr if addr < self.block_count else self.block_count

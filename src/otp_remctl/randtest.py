@@ -30,7 +30,9 @@ from .errors import BadLength, OutOfRange
 # bits, below which the normal approximations behind the P-values are poor.
 MIN_TEST_BITS = 100
 
-DEFAULT_ALPHA = 0.01
+# The level of every P-value verdict and split pass-proportion interval, fixed
+# so all report rows agree; NIST SP 800-22 Rev. 1a uses it in section 4.2.1.
+ALPHA = 0.01
 
 
 class BitSequence:
@@ -69,7 +71,7 @@ class BitSequence:
 
 @dataclass(frozen=True)
 class TestResult:
-    """One statistical test's verdict; passes iff p_value >= alpha."""
+    """One statistical test's verdict; passes iff p_value >= ALPHA."""
 
     __test__ = False  # not a pytest case despite the name
 
@@ -77,12 +79,11 @@ class TestResult:
     n: int
     statistic: float
     p_value: float
-    alpha: float = DEFAULT_ALPHA
     note: str = ""
 
     @property
     def passed(self) -> bool:
-        return self.p_value >= self.alpha
+        return self.p_value >= ALPHA
 
 
 def _require_length(seq: BitSequence) -> None:
@@ -90,7 +91,7 @@ def _require_length(seq: BitSequence) -> None:
         raise BadLength(f"test needs at least {MIN_TEST_BITS} bits, got {seq.n}")
 
 
-def monobit_frequency(seq: BitSequence, alpha: float = DEFAULT_ALPHA) -> TestResult:
+def monobit_frequency(seq: BitSequence) -> TestResult:
     """Frequency test: are ones and zeros balanced?
 
     statistic s = |#ones - #zeros| / sqrt(n),  P = erfc(s / sqrt(2)).
@@ -99,7 +100,7 @@ def monobit_frequency(seq: BitSequence, alpha: float = DEFAULT_ALPHA) -> TestRes
     n = seq.n
     s = abs(2 * seq.ones - n) / math.sqrt(n)
     p = math.erfc(s / math.sqrt(2))
-    return TestResult("frequency", n, s, p, alpha)
+    return TestResult("frequency", n, s, p)
 
 
 _RUN_BLOCK = 1 << 16  # positions compared at once by the run checks
@@ -121,7 +122,7 @@ def count_runs(seq: BitSequence) -> int:
     return sum(int(np.count_nonzero(mask)) for _, mask in _run_bounds(seq.bits))
 
 
-def nist_runs(seq: BitSequence, alpha: float = DEFAULT_ALPHA) -> TestResult:
+def nist_runs(seq: BitSequence) -> TestResult:
     """Runs test: is the number of runs consistent with independence?
 
     With pi the ones-proportion and V the run count,
@@ -134,11 +135,11 @@ def nist_runs(seq: BitSequence, alpha: float = DEFAULT_ALPHA) -> TestResult:
     pi = seq.ones / n
     v = count_runs(seq)
     if abs(pi - 0.5) >= 2.0 / math.sqrt(n):
-        return TestResult("runs", n, float(v), 0.0, alpha,
+        return TestResult("runs", n, float(v), 0.0,
                           note="not applicable: ones-proportion too far from 1/2")
     p = math.erfc(abs(v - 2.0 * n * pi * (1.0 - pi))
                   / (2.0 * math.sqrt(2.0 * n) * pi * (1.0 - pi)))
-    return TestResult("runs", n, float(v), p, alpha)
+    return TestResult("runs", n, float(v), p)
 
 
 @dataclass(frozen=True)
@@ -185,7 +186,7 @@ def run_length_histogram(seq: BitSequence) -> dict:
 
 @dataclass(frozen=True)
 class RunLengthResult:
-    """Run-length histogram plus the geometric-decay verdict.
+    """The geometric-decay verdict on a sequence's run lengths.
 
     For each checked length l, the fraction of runs of that length must
     lie within 2**-l +- 3*sqrt(2**-l * (1 - 2**-l) / R), R = total runs.
@@ -194,7 +195,6 @@ class RunLengthResult:
     no length was checked.
     """
 
-    histogram: dict
     total_runs: int
     max_checked: int
     geometric_ok: bool
@@ -216,7 +216,7 @@ def golomb_run_lengths(seq: BitSequence) -> RunLengthResult:
         worst = max(worst, excess)
         if excess > 1.0:
             ok = False
-    return RunLengthResult(histogram, total, max_checked, ok, worst)
+    return RunLengthResult(total, max_checked, ok, worst)
 
 
 @dataclass
@@ -337,7 +337,7 @@ def autocorrelation(seq: BitSequence, max_lag: int) -> AutocorrSeries:
 class ProportionResult:
     """Pass proportion across sequences against its acceptance interval.
 
-    The interval is (1 - alpha) +- 3*sqrt(alpha*(1 - alpha)/m).  Only its
+    The interval is (1 - ALPHA) +- 3*sqrt(ALPHA*(1 - ALPHA)/m).  Only its
     lower end is kept: a proportion above the interval is a clean sweep,
     not a failure.
     """
@@ -345,7 +345,6 @@ class ProportionResult:
     m: int
     passed: int
     proportion: float
-    alpha: float
     lower: float
 
     @property
@@ -357,14 +356,10 @@ def pass_proportion(results) -> ProportionResult:
     results = list(results)
     if not results:
         raise ValueError("need at least one result")
-    alphas = {r.alpha for r in results}
-    if len(alphas) != 1:
-        raise ValueError(f"mixed alphas {sorted(alphas)}")
-    alpha = alphas.pop()
     m = len(results)
     passed = sum(1 for r in results if r.passed)
-    lower = (1.0 - alpha) - 3.0 * math.sqrt(alpha * (1.0 - alpha) / m)
-    return ProportionResult(m, passed, passed / m, alpha, lower)
+    lower = (1.0 - ALPHA) - 3.0 * math.sqrt(ALPHA * (1.0 - ALPHA) / m)
+    return ProportionResult(m, passed, passed / m, lower)
 
 
 REPORT_FIELDS = ("test", "n", "statistic", "p_value", "alpha", "pass")
@@ -377,7 +372,7 @@ def report_row(test: str, n: int, statistic, p_value, alpha, passed: bool) -> di
 
 def result_row(r: TestResult) -> dict:
     """A test result as a report row."""
-    return report_row(r.test_name, r.n, r.statistic, r.p_value, r.alpha, r.passed)
+    return report_row(r.test_name, r.n, r.statistic, r.p_value, ALPHA, r.passed)
 
 
 def _csv_cell(value) -> str:

@@ -74,13 +74,11 @@ _SESSION = ["simulate", "--controller", "a", "--controlee", "b", "--script", "s"
     (["gen-keys", "--source", "seeded:1", "--bytes", "1e3", "--out", "k"],
      "argument --bytes: expected an integer, got '1e3'"),
     ([*_SESSION, "--loss", "lots"], "argument --loss: expected a number, got 'lots'"),
-    (["randtest", "--input", "x", "--alpha", "foo"],
-     "argument --alpha: expected a number, got 'foo'"),
     (["randtest", "--input", "x", "--max-lag", "ten"],
      "argument --max-lag: expected an integer, got 'ten'"),
     (["randtest", "--input", "x", "--split-bits", "0x10"],
      "argument --split-bits: expected an integer, got '0x10'"),
-], ids=["seed", "blocks", "bytes", "loss", "alpha", "max-lag", "split-bits"])
+], ids=["seed", "blocks", "bytes", "loss", "max-lag", "split-bits"])
 def test_non_numeric_flag_names_the_expected_form(capsys, argv, message):
     assert run(argv) == 1
     err = capsys.readouterr().err
@@ -99,6 +97,13 @@ def test_bad_flag_names_the_fault(capsys, argv, message):
     assert run(argv) == 1
     assert capsys.readouterr().err.splitlines()[-1] == (
         f"otp-remctl {argv[0]}: error: {message}")
+
+
+def test_randtest_significance_level_is_not_a_flag(capsys):
+    # every verdict uses rt.ALPHA; a report row's alpha cell always says 0.01
+    assert run(["randtest", "--input", "x", "--alpha", "0.05"]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "otp-remctl: error: unrecognized arguments: --alpha 0.05")
 
 
 def test_gen_keys_writes_deterministic_file(tmp_path):
@@ -279,7 +284,7 @@ def test_randtest_all_zeros_fails_with_exit_3(tmp_path, capsys):
     p = tmp_path / "zeros.bin"
     p.write_bytes(bytes(2048))
     code = run(["randtest", "--input", str(p), "--tests", "freq,runs,autocorr",
-                "--alpha", "0.01", "--report", str(tmp_path / "out.csv")])
+                "--report", str(tmp_path / "out.csv")])
     assert code == 3
     out = capsys.readouterr().out
     assert "FAIL" in out
@@ -362,6 +367,37 @@ def test_randtest_split_rows_are_pinned(tmp_path, capsys):
         + [("runs", 250000, True)] * 4 + [("runs_proportion", 4, True)])
     assert rows[4] == {"test": "frequency_proportion", "n": 4, "statistic": 1.0,
                        "p_value": None, "alpha": 0.01, "pass": True}
+
+
+_AUDIT_DIGESTS = {
+    "all": {
+        "csv": "22c49e33678909930cad637c73416ac2f3211425d50d9f018113b7b309f36099",
+        "json": "e7120d7ab934c076b690ba85bf010789632f935851ae4d486c93365f0098a36d",
+        "stdout": "7ee99837ebd26bc19bb7d0deda01001601f43c97c8b4820edad2616905c729dc",
+    },
+    "split": {
+        "csv": "6908b2fb563d29a3434d6e4bafeb65a857891fc61f6f287936415a69a44e9652",
+        "json": "70f9d643ce62df50bce64f4065830f7e6edf7ade22104b976779f06272c24654",
+        "stdout": "c466a384cadfc82e6d6ba80e33aceea6f22902b22ee2c4c6c4bfd602dc36f73f",
+    },
+}
+
+
+@pytest.mark.parametrize("run_name, argv", [
+    ("all", ["--max-lag", "100"]),
+    ("split", ["--tests", "freq,runs", "--split-bits", "8192"]),
+])
+def test_randtest_output_bytes_are_pinned(run_name, argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run(["gen-keys", "--source", "seeded:42", "--bytes", "125000",
+                "--out", "keys.bin"]) == 0
+    capsys.readouterr()
+    assert run(["randtest", "--input", "keys.bin", *argv,
+                "--report", "r.csv", "--json", "r.json"]) == 0
+    outputs = {"csv": Path("r.csv").read_bytes(), "json": Path("r.json").read_bytes(),
+               "stdout": capsys.readouterr().out.encode()}
+    assert {k: hashlib.sha256(v).hexdigest()
+            for k, v in outputs.items()} == _AUDIT_DIGESTS[run_name]
 
 
 def test_randtest_split_larger_than_input_is_runtime_error(tmp_path):
@@ -457,6 +493,28 @@ def flight(tmp_path, monkeypatch, capsys):
     _script(Path("."), ["Connection", "Forward", "Turn Left", "Backward",
                         "Turn Right"] * 40)
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", *_FLIGHT, "--log", "a.sks"],
+     "--log and --controller name the same file a.sks"),
+    (["intercept-export", *_FLIGHT, "--out", "c.bin", "--log", "c.bin"],
+     "--log and --out name the same file c.bin"),
+    (["intercept-export", *_FLIGHT, "--out", "c.bin", "--log", "c.bin.idx"],
+     "--log and the --out sidecar name the same file c.bin.idx"),
+    (["randtest", "--input", "c.bin", "--report", "./c.bin"],
+     "--report and --input name the same file ./c.bin"),
+    (["randtest", "--input", "c.bin", "--format", "corpus-full", "--json", "c.bin.idx"],
+     "--json and the --input sidecar name the same file c.bin.idx"),
+], ids=["log-over-store", "log-over-corpus", "log-over-sidecar", "report-over-input",
+        "json-over-sidecar"])
+def test_an_output_never_overwrites_an_input_or_output(flight, capsys, argv, message):
+    assert run(["intercept-export", *_FLIGHT, "--out", "c.bin"]) == 0
+    files = {p.name: p.read_bytes() for p in Path(".").iterdir()}
+    capsys.readouterr()
+    assert run(argv) == 1
+    assert capsys.readouterr() == ("", f"otp-remctl {argv[0]}: error: {message}\n")
+    assert {p.name: p.read_bytes() for p in Path(".").iterdir()} == files
 
 
 @pytest.mark.parametrize("argv, tail", [
@@ -668,9 +726,8 @@ _HELP = {
     "randtest": (
         "usage: otp-remctl randtest [-h] --input INPUT\n"
         "                           [--format {raw,corpus-full,corpus-selective}]\n"
-        "                           [--tests TESTS] [--alpha ALPHA]\n"
-        "                           [--split-bits SPLIT_BITS] [--max-lag MAX_LAG]\n"
-        "                           [--report REPORT] [--json JSON]\n"
+        "                           [--tests TESTS] [--split-bits SPLIT_BITS]\n"
+        "                           [--max-lag MAX_LAG] [--report REPORT] [--json JSON]\n"
         "                           [--autocorr-out AUTOCORR_OUT]\n"
         "\n"
         "options:\n"
@@ -681,7 +738,6 @@ _HELP = {
         "                        ciphered bytes\n"
         "  --tests TESTS         comma-separated subset of\n"
         "                        freq,runs,balance,runlen,autocorr\n"
-        "  --alpha ALPHA         significance level for P-value tests\n"
         "  --split-bits SPLIT_BITS\n"
         "                        split the input into sequences of this many bits and\n"
         "                        report the pass proportion for freq/runs\n"

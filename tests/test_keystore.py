@@ -3,8 +3,10 @@ import re
 import struct
 import tempfile
 import zlib
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -469,8 +471,43 @@ def test_no_block_is_returned_twice(seed, ops):
 
 
 def test_store_addresses_are_plain_ints(make_pair):
-    s, _ = make_pair(blocks=4)
+    s, _ = make_pair(blocks=8)
     assert type(s.consumed_count) is int
     s.take_block(0)
     assert s.discard_through(2) == 1
     assert s.consumed_count == 2
+    # numpy integers are addresses too, but never become the ledger
+    s.take_block(np.int64(2))
+    assert s.discard_through(np.uint32(5)) == 2
+    assert s.consumed_count == 5 and type(s.consumed_count) is int
+    built = SksStore(32, np.int64(8), s.key_material, np.uint32(5))
+    assert [type(v) for v in (built.block_size, built.block_count,
+                              built.consumed_count)] == [int, int, int]
+
+
+@pytest.mark.parametrize("addr", [2.0, 4.5, Fraction(3), "3"],
+                         ids=["float", "half", "fraction", "str"])
+def test_non_integer_address_moves_no_ledger(make_pair, tmp_path, addr):
+    s, _ = make_pair(blocks=8)
+    s.take_block(0)
+    for burn in (s.take_block, s.discard_through):
+        with pytest.raises(TypeError):
+            burn(addr)
+        assert s.consumed_count == 1
+    s.save(tmp_path / "s.sks")
+    assert SksStore.load(tmp_path / "s.sks") == s
+
+
+@pytest.mark.parametrize("block_size, block_count, consumed", [
+    (32, 8, 2.5), (32, 8.0, 0), (32.0, 8, 0),
+], ids=["consumed", "block_count", "block_size"])
+def test_store_geometry_must_be_integers(block_size, block_count, consumed):
+    with pytest.raises(TypeError):
+        SksStore(block_size, block_count, bytes(256), consumed)
+
+
+@pytest.mark.parametrize("block_size, block_count", [(32, 8.0), (32.0, 8)],
+                         ids=["block_count", "block_size"])
+def test_charge_refuses_a_non_integer_geometry_before_drawing(block_size, block_count):
+    with pytest.raises(TypeError):
+        charge(_NoDrawSource(), block_size, block_count)
