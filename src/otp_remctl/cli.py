@@ -13,16 +13,16 @@ ambient randomness only when ``--source system`` is requested explicitly.
 """
 
 import argparse
+import functools
 import json
 import sys
-from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
 from .channel import Channel, ChannelConfig, Delivery, TamperModel, \
     export_intercepts, extract_ciphertext, load_intercepts
-from .entropy import SeededSource, make_source
+from .entropy import FileSource, SeededSource, make_source
 from .errors import OtpRemctlError
 from .frame import FRAME_LEN, CipherMode, CommandRegistry, standard_registry
 from .keystore import SksStore, charge
@@ -83,7 +83,7 @@ def _tests_arg(text):
         if t not in _TEST_TOKENS:
             raise argparse.ArgumentTypeError(
                 f"unknown test {t!r}; choose from {', '.join(_TEST_TOKENS)}")
-    return tokens
+    return tuple(tokens)
 
 
 def _refuse_overwrite(args, inputs: dict, outputs: dict) -> None:
@@ -102,28 +102,43 @@ def _refuse_overwrite(args, inputs: dict, outputs: dict) -> None:
 
 
 def _read_script(path, registry: CommandRegistry):
-    """Command frames for a script file: one name per line, # comments ok."""
+    """Command frames for a script file: one name per line, # comments ok.
+
+    A registered name has no surrounding whitespace and no leading ``#``, so
+    a line that is exactly a name is found by one dict lookup; only other
+    lines are stripped and checked for a comment."""
+    by_name = dict(registry)
     frames = []
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        name = raw.strip()
-        if not name or name.startswith("#"):
-            continue
-        try:
-            frames.append(registry.lookup(name))
-        except KeyError:
-            raise ValueError(
-                f"{path}:{lineno}: unknown command {name!r}; "
-                f"registry has {', '.join(registry.names())}") from None
+        frame = by_name.get(raw)
+        if frame is None:
+            name = raw.strip()
+            if not name or name.startswith("#"):
+                continue
+            frame = by_name.get(name)
+            if frame is None:
+                raise ValueError(
+                    f"{path}:{lineno}: unknown command {name!r}; "
+                    f"registry has {', '.join(registry.names())}")
+        frames.append(frame)
     return frames
 
 
+def _source_path(args) -> dict:
+    """The --source input of a key command: its file, or None."""
+    return {"--source": args.source.path if isinstance(args.source, FileSource) else None}
+
+
 def _cmd_gen_keys(args) -> int:
+    _refuse_overwrite(args, _source_path(args), {"--out": args.out})
     Path(args.out).write_bytes(args.source.fill(args.bytes))
     print(f"wrote {args.bytes} bytes ({args.source.kind}) to {args.out}")
     return 0
 
 
 def _cmd_charge(args) -> int:
+    _refuse_overwrite(args, _source_path(args),
+                      {"--controller": args.controller, "--controlee": args.controlee})
     block_size = CipherMode(args.mode).key_length
     tx_store, rx_store = charge(args.source, block_size, args.blocks)
     tx_store.save(args.controller)
@@ -153,10 +168,10 @@ def _cmd_session(args) -> int:
         export_intercepts(channel.intercepts, args.out)
     if args.log:
         log.save(args.log)
-    outcomes = Counter(channel.intercepts.outcomes())
+    outcomes = channel.intercepts.outcomes()
     print(f"frames sent      : {controller.frames_sent}")
-    print(f"dropped          : {outcomes[Delivery.DROPPED]}")
-    print(f"tampered         : {outcomes[Delivery.TAMPERED]}")
+    print(f"dropped          : {outcomes.count(Delivery.DROPPED)}")
+    print(f"tampered         : {outcomes.count(Delivery.TAMPERED)}")
     print(f"accepted         : {controlee.accepted}")
     print(f"discarded        : {controlee.discarded}")
     print(f"keys consumed    : controller {controller.store.consumed_count}, "
@@ -176,6 +191,18 @@ def _load_test_bytes(args) -> bytes:
     # ciphered bytes are tested.
     mode = CipherMode(args.format.removeprefix("corpus-"))
     return extract_ciphertext(load_intercepts(args.input), mode)
+
+
+# One report row as json.dumps(rows, indent=2) lays out a row of its list,
+# from json's C encoder: indent would select the pure-Python one.
+_json_row = json.JSONEncoder(separators=(",\n    ", ": ")).encode
+
+
+def _report_json(rows) -> str:
+    """``json.dumps(rows, indent=2)`` for a non-empty list of report rows,
+    each a non-empty dict of scalars."""
+    return "[\n  " + ",\n  ".join("{\n    " + _json_row(row)[1:-1] + "\n  }"
+                                  for row in rows) + "\n]"
 
 
 # --split-bits tests: token -> (report name, per-sequence test).
@@ -204,12 +231,10 @@ def _cmd_randtest(args) -> int:
 
     split = args.split_bits
     if split and not _SPLIT_TESTS.keys().isdisjoint(args.tests):
-        m = bits.n // split
-        if m < 1:
+        seqs = bits.pieces(split)
+        if not seqs:
             raise ValueError(
                 f"--split-bits {split} exceeds the {bits.n} input bits")
-        seqs = [rt.BitSequence(bits.bits[i * split:(i + 1) * split])
-                for i in range(m)]
     for token in args.tests:
         if split and token in _SPLIT_TESTS:
             name, test = _SPLIT_TESTS[token]
@@ -258,7 +283,7 @@ def _cmd_randtest(args) -> int:
     if args.report:
         Path(args.report).write_text(rt.report_csv(rows), encoding="utf-8")
     if args.json:
-        Path(args.json).write_text(json.dumps(rows, indent=2) + "\n", encoding="utf-8")
+        Path(args.json).write_text(_report_json(rows) + "\n", encoding="utf-8")
     print(f"{failures} of {len(args.tests)} checks failed" if failures
           else f"all {len(args.tests)} checks passed")
     return 3 if failures else 0
@@ -311,7 +336,13 @@ def _cmd_demo(args) -> int:
     return demo_end_to_end(seed=args.seed, out=args.out)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The otp-remctl parser, built on the first call and then shared.
+
+    argparse keeps no state between ``parse_args`` calls, and every default
+    is immutable, so each in-process ``run`` parses as a fresh parser would;
+    ``build_parser.cache_clear()`` drops the shared one."""
     parser = _Parser(prog="otp-remctl",
                      description="Precharged one-time-pad remote-control toolkit.")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -371,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="raw",
                    help="raw bytes, or an intercept corpus stripped to its "
                         "ciphered bytes")
-    p.add_argument("--tests", type=_tests_arg, default=list(_TEST_TOKENS),
+    p.add_argument("--tests", type=_tests_arg, default=_TEST_TOKENS,
                    help=f"comma-separated subset of {','.join(_TEST_TOKENS)}")
     p.add_argument("--split-bits", type=_number(int, rt.MIN_TEST_BITS), default=None,
                    help="split the input into sequences of this many bits and "

@@ -51,11 +51,26 @@ class BitSequence:
         self.bits = arr
 
     @classmethod
+    def _of(cls, bits: np.ndarray) -> "BitSequence":
+        """A sequence over ``bits``, a non-empty contiguous 1-D uint8 array
+        already known to hold only 0 and 1, so not scanned again."""
+        seq = object.__new__(cls)
+        seq.bits = bits
+        return seq
+
+    @classmethod
     def from_bytes(cls, data: bytes) -> "BitSequence":
         """Expand bytes to bits, most significant bit first."""
         if len(data) < 1:
             raise ValueError("need at least one byte")
-        return cls(np.unpackbits(np.frombuffer(data, dtype=np.uint8)))
+        return cls._of(np.unpackbits(np.frombuffer(data, dtype=np.uint8)))
+
+    def pieces(self, size: int) -> list["BitSequence"]:
+        """The n // size consecutive ``size``-bit pieces, in order, as views;
+        the tail shorter than ``size`` is left out."""
+        if size < 1:
+            raise ValueError(f"piece size must be positive, got {size}")
+        return [self._of(self.bits[i:i + size]) for i in range(0, self.n - size + 1, size)]
 
     @property
     def n(self) -> int:
@@ -395,6 +410,5 @@ def report_csv(rows) -> str:
 def autocorr_csv(series: AutocorrSeries) -> str:
     """CSV of the full symmetric series: tau, c."""
     lines = ["tau,c"]
-    for tau, c in zip(series.lags, series.values):
-        lines.append(f"{int(tau)},{c:.10g}")
+    lines += [f"{tau},{c:.10g}" for tau, c in zip(series.lags.tolist(), series.values.tolist())]
     return "\n".join(lines) + "\n"

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import otp_remctl
-from otp_remctl import randtest as rt
+from otp_remctl import cli, randtest as rt
 from otp_remctl.channel import Channel, ChannelConfig, TamperModel
 from otp_remctl.cli import demo_end_to_end, main, run
 from otp_remctl.entropy import SeededSource
@@ -400,6 +400,66 @@ def test_randtest_output_bytes_are_pinned(run_name, argv, tmp_path, monkeypatch,
             for k, v in outputs.items()} == _AUDIT_DIGESTS[run_name]
 
 
+@pytest.fixture(scope="module")
+def audit_corpus(tmp_path_factory):
+    """A fixed 4000-command intercept-export corpus (+ .idx), flown as the
+    bench's audit workload flies its own: 20% loss, 5% tamper."""
+    d = tmp_path_factory.mktemp("audit")
+    a, b = _charge(d, blocks=4000, seed=13)
+    script = _script(d, ["Connection", "Forward", "Turn Left", "Backward",
+                         "Turn Right"] * 800)
+    assert run(["intercept-export", "--controller", str(a), "--controlee", str(b),
+                "--script", str(script), "--loss", "0.2", "--tamper", "0.05",
+                "--seed", "4", "--out", str(d / "corpus.bin")]) == 0
+    return d / "corpus.bin"
+
+
+# The audit workload's own randtest runs on that corpus: the whole corpus
+# through the FFT lag path (--max-lag 1000) with its tau,c series, and the
+# corpus split into 8192-bit sequences.
+_CORPUS_DIGESTS = {
+    "whole": {
+        "csv": "45f34f1d345531fe69629a5e342a19c2011fe9dfe68ee951cc27723518b3dbab",
+        "json": "3d4ab225cc562867d51d2f61bf77dffaec6c54095f5e2756dc6cec4eeecc011d",
+        "stdout": "b7bea1838f88da0057342c2ba53c69becc6cabc9bf4183987451fac2ebbbdcd8",
+        "autocorr": "1f1b505a341cbcb108c02db70e2b1a8c3464c4085bbb99f3bf3e5b868d7134bc",
+    },
+    "split": {
+        "csv": "8b7351c0bdc0e2c1636f8399dbfe0ddecb4c0a75919d96784a3f3649fff5ebca",
+        "json": "9f833f39a1123008c8e67fb7db6eda8512956727d6b7a47fa68546819e70c1ea",
+        "stdout": "fdfc4b30cf513072702eed78e6809ee647d6213db208e4317c2949028fcc0fc1",
+    },
+}
+
+
+@pytest.mark.parametrize("run_name, argv", [
+    ("whole", ["--max-lag", "1000", "--autocorr-out", "ac.csv"]),
+    ("split", ["--split-bits", "8192"]),
+])
+def test_corpus_randtest_output_bytes_are_pinned(run_name, argv, audit_corpus, tmp_path,
+                                                 monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert run(["randtest", "--input", str(audit_corpus), "--format", "corpus-full",
+                *argv, "--report", "r.csv", "--json", "r.json"]) == 0
+    outputs = {"csv": Path("r.csv").read_bytes(), "json": Path("r.json").read_bytes(),
+               "stdout": capsys.readouterr().out.encode()}
+    if "--autocorr-out" in argv:
+        outputs["autocorr"] = Path("ac.csv").read_bytes()
+    assert {k: hashlib.sha256(v).hexdigest()
+            for k, v in outputs.items()} == _CORPUS_DIGESTS[run_name]
+
+
+@pytest.mark.parametrize("rows", [
+    [rt.report_row("frequency", 8192, 0.044194173824159216, 0.9647496261326772,
+                   rt.ALPHA, True)],
+    [rt.report_row("a\u00e9\"\\\n", 2 ** 70, float("nan"), float("inf"), -0.0, False),
+     rt.report_row("b", -1, -float("inf"), None, None, True)],
+], ids=["one-row", "edge-values"])
+def test_report_json_is_json_dumps_at_indent_2(rows):
+    assert cli._report_json(rows) == json.dumps(rows, indent=2)
+
+
 def test_randtest_split_larger_than_input_is_runtime_error(tmp_path):
     p = tmp_path / "small.bin"
     p.write_bytes(bytes(64))
@@ -515,6 +575,67 @@ def test_an_output_never_overwrites_an_input_or_output(flight, capsys, argv, mes
     assert run(argv) == 1
     assert capsys.readouterr() == ("", f"otp-remctl {argv[0]}: error: {message}\n")
     assert {p.name: p.read_bytes() for p in Path(".").iterdir()} == files
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["charge", "--blocks", "8", "--source", "file:k.bin", "--controller", "k.bin",
+      "--controlee", "b.sks"],
+     "--controller and --source name the same file k.bin"),
+    (["charge", "--blocks", "8", "--source", "file:k.bin", "--controller", "a.sks",
+      "--controlee", "./k.bin"],
+     "--controlee and --source name the same file ./k.bin"),
+    (["charge", "--blocks", "8", "--source", "seeded:1", "--controller", "s.sks",
+      "--controlee", "s.sks"],
+     "--controlee and --controller name the same file s.sks"),
+    (["gen-keys", "--source", "file:k.bin", "--bytes", "100", "--out", "k.bin"],
+     "--out and --source name the same file k.bin"),
+], ids=["controller-over-source", "controlee-over-source", "one-store-file",
+        "gen-keys-over-source"])
+def test_key_commands_never_overwrite_their_source_or_another_output(
+        tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    Path("k.bin").write_bytes(SeededSource(3).fill(4096))
+    files = {p.name: p.read_bytes() for p in Path(".").iterdir()}
+    assert run(argv) == 1
+    assert capsys.readouterr() == ("", f"otp-remctl {argv[0]}: error: {message}\n")
+    assert {p.name: p.read_bytes() for p in Path(".").iterdir()} == files
+
+
+# A usage error, then each subcommand kind whose flags carry defaults.
+_REUSE_ARGV = [
+    ["randtest", "--input", "keys.bin", "--tests", "freq,bogus"],
+    ["randtest", "--input", "keys.bin", "--tests", "freq", "--report", "f.csv"],
+    ["randtest", "--input", "keys.bin", "--max-lag", "600", "--report", "r.csv",
+     "--json", "r.json", "--autocorr-out", "ac.csv"],
+    ["charge", "--source", "seeded:5", "--blocks", "256", "--controller", "a.sks",
+     "--controlee", "b.sks"],
+    ["intercept-export", *_FLIGHT, "--out", "c.bin", "--log", "s.log"],
+]
+
+
+def test_a_reused_parser_leaks_nothing_between_runs(tmp_path, monkeypatch, capsys):
+    """Two passes over _REUSE_ARGV on the cached parser, then one with a fresh
+    parser per run, each in its own directory: every run's exit code, stdout,
+    stderr and files match the same run's in the other passes."""
+    keys = SeededSource(42).fill(12_500)
+    passes = []
+    for fresh in (False, False, True):
+        work = tmp_path / str(len(passes))
+        work.mkdir()
+        monkeypatch.chdir(work)
+        Path("keys.bin").write_bytes(keys)
+        _script(Path("."), ["Connection", "Forward", "Turn Left", "Backward",
+                            "Turn Right"] * 40)
+        runs = []
+        for argv in _REUSE_ARGV:
+            if fresh:
+                cli.build_parser.cache_clear()
+            code = run(argv)
+            runs.append((code, *capsys.readouterr(),
+                         {p.name: p.read_bytes() for p in sorted(Path(".").iterdir())}))
+        passes.append(runs)
+    assert [r[0] for r in passes[0]] == [1, 0, 0, 0, 0]
+    assert passes[0] == passes[1] == passes[2]
 
 
 @pytest.mark.parametrize("argv, tail", [

@@ -53,6 +53,18 @@ def test_from_bytes_is_msb_first():
         BitSequence.from_bytes(b"")
 
 
+@pytest.mark.parametrize("size", [1, 3, 8, 15, 16, 17])
+def test_pieces_are_the_whole_slices_in_order(size):
+    seq = BitSequence.from_bytes(b"\xa5\x0f")
+    pieces = seq.pieces(size)
+    assert [p.bits.tolist() for p in pieces] == [
+        seq.bits[i * size:(i + 1) * size].tolist() for i in range(seq.n // size)]
+    assert all(type(p) is BitSequence and p.bits.flags.c_contiguous
+               and np.shares_memory(p.bits, seq.bits) for p in pieces)
+    with pytest.raises(ValueError, match="piece size must be positive"):
+        seq.pieces(0)
+
+
 def test_monobit_alternating_passes():
     r = monobit_frequency(ALTERNATING)
     assert r.statistic == 0.0 and r.p_value == 1.0 and r.passed
