@@ -79,6 +79,13 @@ _FIELDS = tuple("" if d is None else d.value for d in _BY_CODE)
 _FIELD_CODE = {field: code for code, field in enumerate(_FIELDS)}
 
 
+# Module names for what transmit and _tamper read once a frame: a member read
+# through its Enum class, or a method through a builtin type, is an attribute
+# lookup each time.
+_RANDOMIZE_PAYLOAD = TamperModel.RANDOMIZE_PAYLOAD
+_new = object.__new__
+
+
 def _width_error(frame) -> ValueError:
     return ValueError(f"a tap frame is {WIRE_LEN} bytes, got {len(frame)}")
 
@@ -163,14 +170,14 @@ class Channel:
         tap._seq.append(len(tap._seq))
         tap._frames += wire
         tap._outcome.append(code)
-        tx = object.__new__(Transmission)
+        tx = _new(Transmission)
         tx.outcome, tx.data = _BY_CODE[code], data
         return tx
 
     def _tamper(self, wire: bytes) -> bytes:
         # Only payload bytes; the clear address bytes stay untouched so the
         # test isolates ciphertext integrity.
-        if self.config.tamper_model is TamperModel.RANDOMIZE_PAYLOAD:
+        if self.config.tamper_model is _RANDOMIZE_PAYLOAD:
             return self._rng.randbytes(FRAME_LEN) + wire[FRAME_LEN:]
         mutated = bytearray(wire)
         i = self._rng.randrange(FRAME_LEN)

@@ -32,6 +32,10 @@ MAX_ADDRESS = 2 ** (8 * ADDRESS_LEN) - 1
 
 _CHANNELS = struct.Struct("<7H")
 
+# Bound once: each ``int.from_bytes`` lookup builds a new bound method, and
+# the pad and the address parse run once or twice a frame.
+_from_bytes = int.from_bytes
+
 
 class CipherMode(enum.Enum):
     """Which payload bytes get XORed with key material: one row per mode,
@@ -79,7 +83,7 @@ class CommandFrame:
         # otp_encrypt pads, cannot go stale; ``_int`` is no field.
         if type(data) is not bytes:
             object.__setattr__(self, "data", data := bytes(data))
-        object.__setattr__(self, "_int", int.from_bytes(data, "big"))
+        object.__setattr__(self, "_int", _from_bytes(data, "big"))
 
 
 def encode_command(channels, aux: bytes, trailer: bytes) -> CommandFrame:
@@ -139,7 +143,7 @@ def parse_wire(data: bytes) -> WireFrame:
     # The length check fixes the payload at 32 bytes, and 4 address bytes
     # always fit in 32 bits.
     wire = _new_wire(WireFrame)
-    wire.address = int.from_bytes(data[FRAME_LEN:], "big")
+    wire.address = _from_bytes(data[FRAME_LEN:], "big")
     # only a buffer that is not exact bytes can change later, so only it is copied
     wire.payload = data[:FRAME_LEN] if type(data) is bytes else bytes(data[:FRAME_LEN])
     return wire
@@ -159,7 +163,7 @@ def otp_encrypt(frame: CommandFrame, key: bytes, addr: int, mode: CipherMode) ->
         raise _pad_error(frame.data, key, mode)
     if not 0 <= addr <= MAX_ADDRESS:
         raise OutOfRange(f"address must fit in 32 bits, got {addr}")
-    pad = frame._int ^ (int.from_bytes(key, "big") << shift)
+    pad = frame._int ^ (_from_bytes(key, "big") << shift)
     wire = _new_wire(WireFrame)
     wire.address = addr
     wire.payload = pad.to_bytes(FRAME_LEN, "big")
@@ -172,7 +176,7 @@ def otp_decrypt(wire: WireFrame, key: bytes, mode: CipherMode) -> bytes:
     key_length, shift = mode._pad
     if len(key) != key_length or len(data) != FRAME_LEN:
         raise _pad_error(data, key, mode)
-    pad = int.from_bytes(data, "big") ^ (int.from_bytes(key, "big") << shift)
+    pad = _from_bytes(data, "big") ^ (_from_bytes(key, "big") << shift)
     return pad.to_bytes(FRAME_LEN, "big")
 
 

@@ -43,6 +43,18 @@ class DiscardReason(enum.Enum):
     VALIDATION_FAILED = "validation_failed"
 
 
+# Module names for what runs once a frame or once a log record: a member
+# read through its Enum class, or a method through a builtin type, is an
+# attribute lookup each time (a classmethod's builds a new bound method).
+_BAD_LENGTH = DiscardReason.BAD_LENGTH
+_REPLAY_OR_STALE = DiscardReason.REPLAY_OR_STALE
+_KEY_EXHAUSTED = DiscardReason.KEY_EXHAUSTED
+_VALIDATION_FAILED = DiscardReason.VALIDATION_FAILED
+_new = object.__new__
+_from_bytes = int.from_bytes
+_fromhex = bytes.fromhex
+
+
 @dataclass(slots=True)
 class RxOutcome:
     """Result of processing one received frame."""
@@ -57,13 +69,13 @@ class RxOutcome:
 
     @classmethod
     def accept(cls, frame: CommandFrame, name: str) -> "RxOutcome":
-        outcome = object.__new__(cls)
+        outcome = _new(cls)
         outcome.frame, outcome.name, outcome.reason = frame, name, None
         return outcome
 
     @classmethod
     def discard(cls, reason: DiscardReason) -> "RxOutcome":
-        outcome = object.__new__(cls)
+        outcome = _new(cls)
         outcome.frame, outcome.name, outcome.reason = None, None, reason
         return outcome
 
@@ -76,7 +88,11 @@ class Controller:
         self.frames_sent = 0
 
     def send(self, cmd: CommandFrame) -> WireFrame:
-        """Consume one key block and emit the wire frame carrying its address."""
+        """Consume one key block and emit the wire frame carrying its address.
+
+        TypeError, before the ledger moves, for anything but a CommandFrame."""
+        if not isinstance(cmd, CommandFrame):
+            raise TypeError(f"send takes a CommandFrame, got {type(cmd).__name__}")
         store = self.store
         addr = store.consumed_count
         try:
@@ -85,8 +101,9 @@ class Controller:
             raise KeyExhausted(
                 f"store exhausted: all {store.block_count} blocks consumed; recharge required"
             ) from None
+        wire = otp_encrypt(cmd, key, addr, store.mode)
         self.frames_sent += 1
-        return otp_encrypt(cmd, key, addr, store.mode)
+        return wire
 
 
 class Controlee:
@@ -111,20 +128,20 @@ class Controlee:
         try:
             wire = parse_wire(wire_bytes)
         except BadLength:
-            return self._discard(DiscardReason.BAD_LENGTH)
+            return self._discard(_BAD_LENGTH)
         store, addr = self.store, wire.address
         if addr < store.consumed_count:
             # Already consumed (or burned): a replayed or stale frame.
-            return self._discard(DiscardReason.REPLAY_OR_STALE)
+            return self._discard(_REPLAY_OR_STALE)
         store.discard_through(addr)
         try:
             key = store.take_block(addr)
         except OutOfRange:
-            return self._discard(DiscardReason.KEY_EXHAUSTED)
+            return self._discard(_KEY_EXHAUSTED)
         registry = self.registry
         name = registry.match(otp_decrypt(wire, key, store.mode))
         if name is None:
-            return self._discard(DiscardReason.VALIDATION_FAILED)
+            return self._discard(_VALIDATION_FAILED)
         self.accepted += 1
         return RxOutcome.accept(registry.lookup(name), name)
 
@@ -228,7 +245,7 @@ class SessionLog:
                 chunk = data[start:end]
             if kind <= _TX_EXHAUSTED:  # a tx record opens the next command
                 seq += 1
-                address = int.from_bytes(chunk[FRAME_LEN:], "big") if kind == _TX_SENT else None
+                address = _from_bytes(chunk[FRAME_LEN:], "big") if kind == _TX_SENT else None
             yield seq, address, kind & _CODE, chunk
 
     def _rows(self, kinds=None):
@@ -279,7 +296,7 @@ class SessionLog:
                 try:
                     seq_s, direction, addr_s, event, hexdata = line.split(",")
                     int(seq_s), int(addr_s or "0")  # each an integer, or ValueError
-                    data = bytes.fromhex(hexdata)
+                    data = _fromhex(hexdata)
                 except ValueError:
                     raise ValueError("expected 'seq,direction,address,event,hexdata'") from None
                 kind = _KIND.get((direction, event))

@@ -73,6 +73,18 @@ def test_send_exhaustion_names_the_store_state():
     assert str(exc.value) == "store exhausted: all 3 blocks consumed; recharge required"
 
 
+@pytest.mark.parametrize("mode", list(CipherMode))
+@pytest.mark.parametrize("cmd", [CONNECTION.data, bytearray(CONNECTION.data), None],
+                         ids=["bytes", "bytearray", "None"])
+def test_send_refuses_what_is_no_command_frame_before_the_ledger_moves(mode, cmd):
+    ctrl, _ = _pair(block_size=mode.key_length)
+    with pytest.raises(TypeError, match=f"got {type(cmd).__name__}$"):
+        ctrl.send(cmd)
+    assert (ctrl.store.consumed_count, ctrl.frames_sent) == (0, 0)
+    assert ctrl.send(CONNECTION).address == 0
+    assert ctrl.frames_sent == 1
+
+
 def test_matched_roundtrip_accepts():
     ctrl, clee = _pair()
     out = clee.receive(ctrl.send(CONNECTION).to_bytes())

@@ -1,9 +1,13 @@
 """The README's ``python`` examples run against the current API, its
 randtest example prints what the README shows, and its "Library use"
 section names every name the package root exports; no module of the
-package imports a name that is private to another."""
+package imports a name that is private to another, and the per-frame code
+reads no attribute through a builtin type or an Enum class."""
 
 import ast
+import builtins
+import enum
+import importlib
 import re
 import shlex
 from pathlib import Path
@@ -80,3 +84,63 @@ def test_no_module_imports_a_private_name_of_a_sibling():
                if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
                for alias in node.names if alias.name.startswith("_")]
     assert imports == []
+
+
+# The functions that run once a frame or once a log record, by module.
+_PER_FRAME = {
+    "frame": ("parse_wire", "otp_encrypt", "otp_decrypt", "WireFrame.to_bytes",
+              "CommandRegistry.match"),
+    "protocol": ("Controller.send", "Controlee.receive", "Controlee._discard",
+                 "RxOutcome.accept", "RxOutcome.discard", "run_session",
+                 "SessionLog._command", "SessionLog._walk", "SessionLog._save_lines",
+                 "SessionLog.load"),
+    "channel": ("Channel.transmit", "Channel._tamper"),
+    "keystore": ("SksStore.take_block", "SksStore.discard_through"),
+}
+
+
+def _definitions(tree):
+    """(qualified name, def) of each module-level function and method."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{node.name}.{item.name}", item
+
+
+def _class_lookups(module, fn) -> list[str]:
+    """Each ``Owner.attr`` in ``fn`` whose Owner, a name not bound in ``fn``,
+    is a builtin type or an Enum subclass in ``module``."""
+    local = {node.arg for node in ast.walk(fn.args) if isinstance(node, ast.arg)}
+    local |= {node.id for node in ast.walk(fn)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+    found = []
+    for node in ast.walk(fn):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id not in local):
+            owner = vars(module).get(node.value.id, vars(builtins).get(node.value.id))
+            if isinstance(owner, type) and (owner.__module__ == "builtins"
+                                            or issubclass(owner, enum.Enum)):
+                found.append(f"{node.value.id}.{node.attr}")
+    return found
+
+
+def test_per_frame_code_reads_no_attribute_of_a_builtin_type_or_enum_class():
+    """``int.from_bytes`` builds a new bound method on each lookup, and a
+    member read through its Enum class is a metaclass attribute lookup; the
+    per-frame code reads module-level names bound once instead."""
+    missing, offences = [], []
+    for name, qualnames in _PER_FRAME.items():
+        module = importlib.import_module(f"otp_remctl.{name}")
+        path = ROOT / "src" / "otp_remctl" / f"{name}.py"
+        defs = dict(_definitions(ast.parse(path.read_text())))
+        for qualname in qualnames:
+            if qualname not in defs:
+                missing.append(f"{name}.py {qualname}")
+            elif lookups := _class_lookups(module, defs[qualname]):
+                offences.append(f"{name}.py {qualname}: {', '.join(lookups)}")
+    assert missing == []
+    assert offences == [], "per-frame lookups through a builtin type or an Enum class:\n  " + \
+        "\n  ".join(offences)
