@@ -124,20 +124,20 @@ class Controlee:
         return RxOutcome.discard(reason)
 
     def receive(self, wire_bytes: bytes) -> RxOutcome:
-        """Process one frame off the air."""
-        try:
-            wire = parse_wire(wire_bytes)
-        except BadLength:
+        """Process one frame off the air.  Each discard is decided by a
+        compare before the call that would refuse the frame, so nothing is
+        raised on a hostile frame; TypeError for input with no length."""
+        if len(wire_bytes) != WIRE_LEN:
             return self._discard(_BAD_LENGTH)
+        wire = parse_wire(wire_bytes)
         store, addr = self.store, wire.address
         if addr < store.consumed_count:
             # Already consumed (or burned): a replayed or stale frame.
             return self._discard(_REPLAY_OR_STALE)
         store.discard_through(addr)
-        try:
-            key = store.take_block(addr)
-        except OutOfRange:
+        if addr >= store.block_count:  # past the end: every block is burned now
             return self._discard(_KEY_EXHAUSTED)
+        key = store.take_block(addr)
         registry = self.registry
         name = registry.match(otp_decrypt(wire, key, store.mode))
         if name is None:
@@ -178,8 +178,17 @@ _RX_DISCARDED = {r.value: _KIND["rx", f"discarded:{r.value}"] for r in DiscardRe
 # A flag on a record's kind byte, above its kind code: the record's data
 # repeats the previous record's (no bytes stored).
 _REPEATS, _CODE = 0x80, 0x7F
-# The data length each of these kinds fixes; the length column holds the rest.
-_SIZE = {_TX_SENT: WIRE_LEN, _TX_EXHAUSTED: 0, _RX_ACCEPTED: FRAME_LEN}
+# The column layout, one entry per kind byte, repeat flag included: the
+# size of the record's stored data, or _REPEATED (none stored: it is the
+# previous record's) or _IN_COLUMN (the length column's next value); then
+# its ",direction," and ",event," text for a saved line.  Only a sent frame
+# (36 bytes), "exhausted" (none) and an accepted plaintext (32) fix a size.
+_REPEATED, _IN_COLUMN = -1, -2
+_FIXED = {_TX_SENT: WIRE_LEN, _TX_EXHAUSTED: 0, _RX_ACCEPTED: FRAME_LEN}
+_TEXT = [(f",{direction},", f",{event},") for direction, event in _KINDS]
+_LAYOUT = [None] * 256
+_LAYOUT[:len(_KINDS)] = [(_FIXED.get(code, _IN_COLUMN), *text) for code, text in enumerate(_TEXT)]
+_LAYOUT[_REPEATS:_REPEATS + len(_KINDS)] = [(_REPEATED, *text) for text in _TEXT]
 
 
 class SessionLog:
@@ -188,16 +197,17 @@ class SessionLog:
     The log is columnar and stores nothing it can derive.  Each record keeps
     one kind byte, its index in the fixed table of (direction, event) pairs
     plus a flag when its data repeats the previous record's; other data goes
-    to one bytearray and its length, unless ``_SIZE`` fixes it, to an int64
+    to one bytearray and its length, unless its kind fixes it, to an int64
     column.  So a frame is stored once: the ch record repeats the tx
     record's bytes unless the frame was tampered with, and a discarding rx
     record repeats the ch record's.  Every command opens with a tx record,
     so a record's seq is its command's index and its address is the address
     field of that command's frame (none for ``exhausted``).  ``_command``
-    and ``_exhausted`` are the writers, ``_walk`` is the one reader, and
-    ``load`` replays a file through the writers, so equal logs have equal
-    columns.  Records are built only when the log is read: ``records`` is a
-    new list on each access."""
+    and ``_exhausted`` are the writers; the two readers, ``_walk`` for
+    records and ``_save_lines`` for the saved text, find each record's data
+    through the one ``_LAYOUT`` table; and ``load`` replays a file through
+    the writers, so equal logs have equal columns.  Records are built only
+    when the log is read: ``records`` is a new list on each access."""
 
     def __init__(self) -> None:
         self._kind = array("B")
@@ -240,8 +250,9 @@ class SessionLog:
         lengths = iter(self._length)
         seq, end = -1, 0
         for kind in self._kind:
-            if not kind & _REPEATS:
-                start, end = end, end + (_SIZE[kind] if kind in _SIZE else next(lengths))
+            size = _LAYOUT[kind][0]
+            if size != _REPEATED:
+                start, end = end, end + (size if size >= 0 else next(lengths))
                 chunk = data[start:end]
             if kind <= _TX_EXHAUSTED:  # a tx record opens the next command
                 seq += 1
@@ -256,16 +267,22 @@ class SessionLog:
                 yield SessionRecord(seq, direction, address, event, data)
 
     def _save_lines(self):
-        """The lines ``save`` writes, without their newlines, made as read."""
-        prev_seq, prev_data = None, None
-        for seq, address, kind, data in self._walk():
-            # as text once a command or a stored chunk, not once a record
-            if seq != prev_seq:
-                prev_seq, seq_s, addr = seq, str(seq), "" if address is None else str(address)
-            if data is not prev_data:
-                prev_data, hexdata = data, data.hex()
-            direction, event = _KINDS[kind]
-            yield f"{seq_s},{direction},{addr},{event},{hexdata}"
+        """The lines ``save`` writes, without their newlines, made as read in
+        one pass over the columns: each stored chunk is hexed once, and seq
+        and address become text once a command."""
+        data, lengths = self._data, iter(self._length)
+        seq, end = -1, 0
+        for kind in self._kind:
+            size, direction, event = _LAYOUT[kind]
+            if size != _REPEATED:
+                start, end = end, end + (size if size >= 0 else next(lengths))
+                hexdata = data[start:end].hex()
+            if kind <= _TX_EXHAUSTED:  # a tx record opens the next command
+                seq += 1
+                seq_s = str(seq)
+                addr = str(_from_bytes(data[start + FRAME_LEN:end], "big")) \
+                    if kind == _TX_SENT else ""
+            yield f"{seq_s}{direction}{addr}{event}{hexdata}"
 
     @property
     def records(self) -> list[SessionRecord]:

@@ -18,6 +18,7 @@ from otp_remctl.errors import BadLength, KeyExhausted, KeyReused, OutOfRange
 from otp_remctl.frame import (
     HEADER,
     MAX_ADDRESS,
+    WIRE_LEN,
     CipherMode,
     CommandFrame,
     CommandRegistry,
@@ -153,6 +154,16 @@ def test_exhausted_store_discards():
     assert clee.store.consumed_count == 2
 
 
+@pytest.mark.parametrize("wire", [None, 5])
+def test_receive_refuses_input_with_no_length_before_anything_moves(wire):
+    ctrl, clee = _pair(blocks=4)
+    assert clee.receive(ctrl.send(CONNECTION).to_bytes()).accepted
+    before = _receiver_state(clee)
+    with pytest.raises(TypeError):
+        clee.receive(wire)
+    assert _receiver_state(clee) == before == (1, b"\x80", 1, 0)
+
+
 def test_tampered_ciphered_byte_burns_and_discards():
     ctrl, clee = _pair()
     wire = bytearray(ctrl.send(CONNECTION).to_bytes())
@@ -196,8 +207,8 @@ def _tampered() -> bytes:
     return rng.randbytes(32) + _WIRE[32:]
 
 
-def _received(reason: DiscardReason | None) -> RxOutcome:
-    """Controlee.receive's value for a frame it accepts (None) or discards for ``reason``."""
+def _to_receive(reason: DiscardReason | None) -> tuple[Controlee, bytes]:
+    """A controlee and a frame it accepts (None) or discards for ``reason``."""
     ctrl, clee = _pair(blocks=4)
     wire = ctrl.send(FORWARD).to_bytes()
     if reason is DiscardReason.BAD_LENGTH:
@@ -208,6 +219,12 @@ def _received(reason: DiscardReason | None) -> RxOutcome:
         wire = wire[:32] + (4).to_bytes(4, "big")  # one past the last block
     elif reason is DiscardReason.VALIDATION_FAILED:
         wire = bytes([wire[0] ^ 1]) + wire[1:]
+    return clee, wire
+
+
+def _received(reason: DiscardReason | None) -> RxOutcome:
+    """Controlee.receive's value for a frame it accepts (None) or discards for ``reason``."""
+    clee, wire = _to_receive(reason)
     return clee.receive(wire)
 
 
@@ -378,8 +395,12 @@ def test_receive_matches_header_check_chain_under_hostile_input(mode, data):
     ref = _HeaderCheckControlee(twin)
     names = REG.names()
     for _ in range(data.draw(st.integers(1, 30), label="frames")):
-        kind = data.draw(st.sampled_from(["sent", "random", "header"]))
-        if kind == "sent" and ctrl.store.consumed_count < blocks:
+        kind = data.draw(st.sampled_from(["sent", "random", "header", "length"]))
+        if kind == "length":
+            # anything but a wire frame's length, 36 bytes
+            size = data.draw(st.integers(0, 40).filter(lambda n: n != WIRE_LEN))
+            wire = data.draw(st.binary(min_size=size, max_size=size))
+        elif kind == "sent" and ctrl.store.consumed_count < blocks:
             # a genuine frame, delivered whole or with one byte flipped
             cmd = REG.lookup(data.draw(st.sampled_from(names)))
             wire = bytearray(ctrl.send(cmd).to_bytes())
@@ -917,3 +938,26 @@ def test_an_exhausted_send_calls_take_block_alone(monkeypatch):
         (receive, "CommandRegistry.match"): 1,
         (receive, "RxOutcome.accept"): 1,
     }
+
+
+# What receive calls on each discard path, beyond the compare that decides it:
+# a discard calls nothing that refuses the frame by raising.
+_DISCARD_CALLS = {
+    DiscardReason.BAD_LENGTH: (),
+    DiscardReason.REPLAY_OR_STALE: ("parse_wire",),
+    DiscardReason.KEY_EXHAUSTED: ("parse_wire", "SksStore.discard_through"),
+    # the accept path's calls, but for RxOutcome.accept
+    DiscardReason.VALIDATION_FAILED: ("parse_wire", "SksStore.discard_through",
+                                      "SksStore.take_block", "otp_decrypt",
+                                      "CommandRegistry.match"),
+}
+
+
+@pytest.mark.parametrize("reason", list(DiscardReason))
+def test_each_receive_discard_calls_only_what_decides_it(reason, monkeypatch):
+    clee, wire = _to_receive(reason)
+    calls = _spy_on_the_traced_names(monkeypatch)
+    assert clee.receive(wire).reason is reason
+    receive = "Controlee.receive"
+    assert calls == {("run_session", receive): 1,
+                     **{(receive, callee): 1 for callee in _DISCARD_CALLS[reason]}}
