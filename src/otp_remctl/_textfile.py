@@ -1,5 +1,6 @@
-"""Line files that are read back only if their writer writes them again: the
-session log (``protocol``) and the corpus's ``.idx`` sidecar (``channel``)."""
+"""The writer of every text file the package writes, UTF-8 with "\n" line
+ends on every platform, and the reader of the two read back only if their
+writer writes them again: the session log and the corpus's ``.idx`` sidecar."""
 
 import itertools
 from pathlib import Path
@@ -16,7 +17,7 @@ def read_lines(path) -> list[str]:
 
 
 def write_lines(path, lines) -> None:
-    """Write each line (none empty) and "\n" as bytes, 4096 lines at a time so
+    """Write each line and "\n" as UTF-8 bytes, 4096 lines at a time so
     memory stays bounded: text mode writes "\r\n" on Windows."""
     lines = iter(lines)
     with open(path, "wb") as f:

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._textfile import write_lines
 from .channel import Channel, ChannelConfig, Delivery, TamperModel, \
     export_intercepts, extract_ciphertext, load_intercepts
 from .entropy import FileSource, SeededSource, make_source
@@ -33,8 +34,7 @@ _TEST_TOKENS = ("freq", "runs", "balance", "runlen", "autocorr")
 
 
 class _UsageError(Exception):
-    """Bad flag grammar, or an output path that names another file flag;
-    mapped to exit 1."""
+    """Bad flag grammar, or two file flags that name one file; mapped to exit 1."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -86,12 +86,12 @@ def _tests_arg(text):
     return tuple(tokens)
 
 
-def _refuse_overwrite(args, inputs: dict, outputs: dict) -> None:
-    """Refuse an output path that names an input or an earlier output, before
-    anything is read or written.  Each dict maps a flag to its path, or to
-    None when the flag is unset; Path.resolve() decides what is one file."""
-    taken = {Path(path).resolve(): flag for flag, path in inputs.items() if path}
-    for flag, path in outputs.items():
+def _refuse_shared_files(args, files: dict) -> None:
+    """Refuse two file flags that name one file, before anything is read or
+    written.  ``files`` maps each flag, inputs first, to its path or to None;
+    Path.resolve() decides what is one file, and the later flag is named first."""
+    taken = {}
+    for flag, path in files.items():
         if not path:
             continue
         key = Path(path).resolve()
@@ -124,21 +124,21 @@ def _read_script(path, registry: CommandRegistry):
     return frames
 
 
-def _source_path(args) -> dict:
-    """The --source input of a key command: its file, or None."""
-    return {"--source": args.source.path if isinstance(args.source, FileSource) else None}
+def _source_path(args):
+    """The file of a key command's --source, or None."""
+    return args.source.path if isinstance(args.source, FileSource) else None
 
 
 def _cmd_gen_keys(args) -> int:
-    _refuse_overwrite(args, _source_path(args), {"--out": args.out})
+    _refuse_shared_files(args, {"--source": _source_path(args), "--out": args.out})
     Path(args.out).write_bytes(args.source.fill(args.bytes))
     print(f"wrote {args.bytes} bytes ({args.source.kind}) to {args.out}")
     return 0
 
 
 def _cmd_charge(args) -> int:
-    _refuse_overwrite(args, _source_path(args),
-                      {"--controller": args.controller, "--controlee": args.controlee})
+    _refuse_shared_files(args, {"--source": _source_path(args),
+                                "--controller": args.controller, "--controlee": args.controlee})
     block_size = CipherMode(args.mode).key_length
     tx_store, rx_store = charge(args.source, block_size, args.blocks)
     tx_store.save(args.controller)
@@ -150,11 +150,10 @@ def _cmd_charge(args) -> int:
 
 def _cmd_session(args) -> int:
     """simulate and intercept-export: fly the script, then report the flight."""
-    _refuse_overwrite(
+    _refuse_shared_files(
         args, {"--controller": args.controller, "--controlee": args.controlee,
-               "--script": args.script, "--registry": args.registry},
-        {"--out": args.out, "the --out sidecar": args.out and f"{args.out}.idx",
-         "--log": args.log})
+               "--script": args.script, "--registry": args.registry, "--out": args.out,
+               "the --out sidecar": args.out and f"{args.out}.idx", "--log": args.log})
     controller = Controller(SksStore.load(args.controller))
     registry = (standard_registry() if args.registry is None
                 else CommandRegistry.load(args.registry))
@@ -212,9 +211,9 @@ _SPLIT_TESTS = {"freq": ("frequency", rt.monobit_frequency),
 
 def _cmd_randtest(args) -> int:
     sidecar = None if args.format == "raw" else f"{args.input}.idx"
-    _refuse_overwrite(
-        args, {"--input": args.input, "the --input sidecar": sidecar},
-        {"--report": args.report, "--json": args.json, "--autocorr-out": args.autocorr_out})
+    _refuse_shared_files(
+        args, {"--input": args.input, "the --input sidecar": sidecar, "--report": args.report,
+               "--json": args.json, "--autocorr-out": args.autocorr_out})
     data = _load_test_bytes(args)
     if not data:
         raise ValueError(f"{args.input}: no bytes to test")
@@ -279,11 +278,11 @@ def _cmd_randtest(args) -> int:
                    f"within-bound={100 * fraction:.2f}% c0={series.c(0):g}",
                    ok)
             if args.autocorr_out:
-                Path(args.autocorr_out).write_text(rt.autocorr_csv(series), encoding="utf-8")
+                write_lines(args.autocorr_out, rt.autocorr_csv(series))
     if args.report:
-        Path(args.report).write_text(rt.report_csv(rows), encoding="utf-8")
+        write_lines(args.report, rt.report_csv(rows))
     if args.json:
-        Path(args.json).write_text(_report_json(rows) + "\n", encoding="utf-8")
+        write_lines(args.json, [_report_json(rows)])
     print(f"{failures} of {len(args.tests)} checks failed" if failures
           else f"all {len(args.tests)} checks passed")
     return 3 if failures else 0
@@ -322,12 +321,10 @@ def demo_end_to_end(seed: int, out=None) -> int:
     print(f"pairwise ciphertext byte-agreement rate: {matches / total:.4f} "
           f"(uniform expectation {1 / 256:.4f})")
     if out:
-        header = "name,rep,address,kind," + ",".join(f"b{i}" for i in range(FRAME_LEN))
-        lines = [header]
-        for name, rep, addr, plain, cipher in rows:
-            lines.append(f"{name},{rep},{addr},plain," + ",".join(map(str, plain)))
-            lines.append(f"{name},{rep},{addr},cipher," + ",".join(map(str, cipher)))
-        Path(out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_lines(out, ["name,rep,address,kind," + ",".join(f"b{i}" for i in range(FRAME_LEN)),
+                          *(f"{name},{rep},{addr},{kind}," + ",".join(map(str, data))
+                            for name, rep, addr, plain, cipher in rows
+                            for kind, data in (("plain", plain), ("cipher", cipher)))])
         print(f"csv: {out}")
     return 0
 

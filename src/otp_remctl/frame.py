@@ -18,6 +18,7 @@ import struct
 from dataclasses import dataclass
 from pathlib import Path
 
+from ._textfile import write_lines
 from .errors import BadLength, OutOfRange
 
 HEADER = bytes((36, 77, 60, 16, 105))
@@ -131,8 +132,8 @@ class WireFrame:
 
 # Builds a per-frame value without running its dataclass __init__ or
 # __post_init__; the builder checks what they would and stores every slot.
-# ``parse_wire``, ``otp_encrypt``, ``Channel.transmit`` and
-# ``RxOutcome.accept``/``.discard`` build their values this way.
+# ``parse_wire``, ``otp_encrypt``, ``Channel.transmit``, ``RxOutcome.accept``
+# and ``Controlee._discard`` build their values this way.
 _new_wire = object.__new__
 
 
@@ -250,11 +251,8 @@ class CommandRegistry:
         return name in self._frames
 
     def save(self, path) -> None:
-        lines = [
-            f"{name}: {','.join(str(b) for b in frame.data)}"
-            for name, frame in self._frames.items()
-        ]
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_lines(path, (f"{name}: {','.join(map(str, frame.data))}"
+                           for name, frame in self._frames.items()))
 
     @classmethod
     def load(cls, path) -> "CommandRegistry":

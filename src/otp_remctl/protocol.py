@@ -73,12 +73,6 @@ class RxOutcome:
         outcome.frame, outcome.name, outcome.reason = frame, name, None
         return outcome
 
-    @classmethod
-    def discard(cls, reason: DiscardReason) -> "RxOutcome":
-        outcome = _new(cls)
-        outcome.frame, outcome.name, outcome.reason = None, None, reason
-        return outcome
-
 
 class Controller:
     """Sender side: encrypt each command with the next unconsumed block."""
@@ -121,7 +115,9 @@ class Controlee:
 
     def _discard(self, reason: DiscardReason) -> RxOutcome:
         self.discarded += 1
-        return RxOutcome.discard(reason)
+        outcome = _new(RxOutcome)
+        outcome.frame, outcome.name, outcome.reason = None, None, reason
+        return outcome
 
     def receive(self, wire_bytes: bytes) -> RxOutcome:
         """Process one frame off the air.  Each discard is decided by a

@@ -400,15 +400,14 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def report_csv(rows) -> str:
-    """CSV of report rows: None cells empty, floats .10g, booleans lowercase."""
-    lines = [",".join(REPORT_FIELDS)]
-    lines += [",".join(_csv_cell(row[k]) for k in REPORT_FIELDS) for row in rows]
-    return "\n".join(lines) + "\n"
+def report_csv(rows):
+    """CSV lines of report rows: None cells empty, floats .10g, booleans lowercase."""
+    yield ",".join(REPORT_FIELDS)
+    for row in rows:
+        yield ",".join(_csv_cell(row[k]) for k in REPORT_FIELDS)
 
 
-def autocorr_csv(series: AutocorrSeries) -> str:
-    """CSV of the full symmetric series: tau, c."""
-    lines = ["tau,c"]
-    lines += [f"{tau},{c:.10g}" for tau, c in zip(series.lags.tolist(), series.values.tolist())]
-    return "\n".join(lines) + "\n"
+def autocorr_csv(series: AutocorrSeries):
+    """CSV lines of the full symmetric series: tau, c."""
+    yield "tau,c"
+    yield from map("{},{:.10g}".format, series.lags.tolist(), series.values.tolist())

@@ -566,8 +566,16 @@ def flight(tmp_path, monkeypatch, capsys):
      "--report and --input name the same file ./c.bin"),
     (["randtest", "--input", "c.bin", "--format", "corpus-full", "--json", "c.bin.idx"],
      "--json and the --input sidecar name the same file c.bin.idx"),
+    (["simulate", "--controller", "a.sks", "--controlee", "./a.sks", "--script", "fly.cmds"],
+     "--controlee and --controller name the same file ./a.sks"),
+    (["intercept-export", "--controller", "a.sks", "--controlee", "./a.sks",
+      "--script", "fly.cmds", "--out", "d.bin"],
+     "--controlee and --controller name the same file ./a.sks"),
+    (["simulate", *_FLIGHT, "--registry", "fly.cmds"],
+     "--registry and --script name the same file fly.cmds"),
 ], ids=["log-over-store", "log-over-corpus", "log-over-sidecar", "report-over-input",
-        "json-over-sidecar"])
+        "json-over-sidecar", "one-store-file-simulate", "one-store-file-export",
+        "registry-is-script"])
 def test_an_output_never_overwrites_an_input_or_output(flight, capsys, argv, message):
     assert run(["intercept-export", *_FLIGHT, "--out", "c.bin"]) == 0
     files = {p.name: p.read_bytes() for p in Path(".").iterdir()}

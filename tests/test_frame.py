@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import hashlib
 import pickle
 from types import SimpleNamespace
 
@@ -266,6 +267,14 @@ def test_registry_roundtrip(tmp_path):
     for name in ("#hash", "a:b", " pad ", "", "two\nlines", "cr\r", 5):
         with pytest.raises(ValueError, match="bad command name"):
             CommandRegistry().add(name, CommandFrame(CONNECTION))
+
+
+def test_registry_file_bytes_are_pinned(tmp_path):
+    """The five stock rows as ``name: b0,...,b31`` lines, each ending in "\n"."""
+    p = tmp_path / "cmds.reg"
+    standard_registry().save(p)
+    assert hashlib.sha256(p.read_bytes()).hexdigest() == (
+        "c052b7f9a7020a047092326ae5fb17920311ff61e5b928af07b037def7e063ee")
 
 
 @given(st.lists(st.text(max_size=12), max_size=6, unique=True))

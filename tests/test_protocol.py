@@ -237,8 +237,6 @@ def _received(reason: DiscardReason | None) -> RxOutcome:
      Transmission(Delivery.TAMPERED, bytes(36))),
     (lambda: RxOutcome.accept(standard_registry().lookup("Forward"), "Forward"),
      RxOutcome(FORWARD, "Forward")),
-    (lambda: RxOutcome.discard(DiscardReason.REPLAY_OR_STALE),
-     RxOutcome(None, None, DiscardReason.REPLAY_OR_STALE)),
     (lambda: parse_wire(_WIRE), WireFrame(0, _WIRE[:32])),
     (lambda: otp_encrypt(FORWARD, bytes(32), 0, CipherMode.FULL), WireFrame(0, _WIRE[:32])),
     (lambda: _transmitted(Delivery.DELIVERED), Transmission(Delivery.DELIVERED, _WIRE)),
@@ -246,7 +244,7 @@ def _received(reason: DiscardReason | None) -> RxOutcome:
     (lambda: _transmitted(Delivery.TAMPERED), Transmission(Delivery.TAMPERED, _tampered())),
     (lambda: _received(None), RxOutcome(FORWARD, "Forward")),
     *((lambda r=r: _received(r), RxOutcome(None, None, r)) for r in DiscardReason),
-], ids=["wire", "transmission", "accepted", "discarded", "parse_wire", "otp_encrypt",
+], ids=["wire", "transmission", "accepted", "parse_wire", "otp_encrypt",
         *(f"transmit-{d.value}" for d in Delivery), "receive-accepted",
         *(f"receive-{r.value}" for r in DiscardReason)])
 def test_per_frame_records_are_slotted_values(make, built):

@@ -91,7 +91,7 @@ _PER_FRAME = {
     "frame": ("parse_wire", "otp_encrypt", "otp_decrypt", "WireFrame.to_bytes",
               "CommandRegistry.match"),
     "protocol": ("Controller.send", "Controlee.receive", "Controlee._discard",
-                 "RxOutcome.accept", "RxOutcome.discard", "run_session",
+                 "RxOutcome.accept", "run_session",
                  "SessionLog._command", "SessionLog._walk", "SessionLog._save_lines",
                  "SessionLog.load"),
     "channel": ("Channel.transmit", "Channel._tamper"),
