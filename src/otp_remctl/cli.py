@@ -192,6 +192,42 @@ def _load_test_bytes(args) -> bytes:
     return extract_ciphertext(load_intercepts(args.input), mode)
 
 
+_REPORT_FIELDS = ("test", "n", "statistic", "p_value", "alpha", "pass")
+
+
+def _report_row(test: str, n: int, statistic, p_value, alpha, passed: bool) -> dict:
+    """One report row keyed by _REPORT_FIELDS; None marks a value a check lacks."""
+    return dict(zip(_REPORT_FIELDS, (test, n, statistic, p_value, alpha, passed)))
+
+
+def _result_row(r: rt.TestResult) -> dict:
+    """A test result as a report row."""
+    return _report_row(r.test_name, r.n, r.statistic, r.p_value, rt.ALPHA, r.passed)
+
+
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return format(value, ".10g")
+    return str(value)
+
+
+def _report_csv(rows):
+    """CSV lines of report rows: None cells empty, floats .10g, booleans lowercase."""
+    yield ",".join(_REPORT_FIELDS)
+    for row in rows:
+        yield ",".join(_csv_cell(row[k]) for k in _REPORT_FIELDS)
+
+
+def _autocorr_csv(series: rt.AutocorrSeries):
+    """CSV lines of the full symmetric series: tau, c."""
+    yield "tau,c"
+    yield from map("{},{:.10g}".format, series.lags.tolist(), series.values.tolist())
+
+
 # One report row as json.dumps(rows, indent=2) lays out a row of its list,
 # from json's C encoder: indent would select the pure-Python one.
 _json_row = json.JSONEncoder(separators=(",\n    ", ": ")).encode
@@ -238,33 +274,33 @@ def _cmd_randtest(args) -> int:
         if split and token in _SPLIT_TESTS:
             name, test = _SPLIT_TESTS[token]
             results = [test(s) for s in seqs]
-            rows.extend(map(rt.result_row, results))
+            rows.extend(map(_result_row, results))
             prop = rt.pass_proportion(results)
-            record(rt.report_row(f"{name}_proportion", prop.m, prop.proportion,
-                                 None, rt.ALPHA, prop.ok),
+            record(_report_row(f"{name}_proportion", prop.m, prop.proportion,
+                               None, rt.ALPHA, prop.ok),
                    f"{name:<10}: {prop.passed}/{prop.m} sequences passed "
                    f"(proportion {prop.proportion:.4f}, "
                    f"acceptance >= {prop.lower:.4f})", prop.ok)
         elif token == "freq":
             r = rt.monobit_frequency(bits)
-            record(rt.result_row(r),
+            record(_result_row(r),
                    f"frequency : n={r.n} statistic={r.statistic:.4f} "
                    f"p={r.p_value:.4f}", r.passed)
         elif token == "runs":
             r = rt.nist_runs(bits)
             note = f" ({r.note})" if r.note else ""
-            record(rt.result_row(r),
+            record(_result_row(r),
                    f"runs      : n={r.n} V={r.statistic:.0f} "
                    f"p={r.p_value:.4f}{note}", r.passed)
         elif token == "balance":
             b = rt.golomb_balance(bits)
-            record(rt.report_row("balance", b.n, b.deviation, None, None, b.passed),
+            record(_report_row("balance", b.n, b.deviation, None, None, b.passed),
                    f"balance   : n={b.n} deviation={b.deviation:.6f} "
                    f"(limit {b.limit:.6f})", b.passed)
         elif token == "runlen":
             rl = rt.golomb_run_lengths(bits)
-            record(rt.report_row("run_lengths", bits.n, rl.worst_excess, None,
-                                 None, rl.geometric_ok),
+            record(_report_row("run_lengths", bits.n, rl.worst_excess, None,
+                               None, rl.geometric_ok),
                    f"run-length: runs={rl.total_runs} "
                    f"checked 1..{rl.max_checked} "
                    f"worst-excess={rl.worst_excess:.3f}", rl.geometric_ok)
@@ -273,14 +309,14 @@ def _cmd_randtest(args) -> int:
             series = rt.autocorrelation(bits, max_lag)
             fraction = series.fraction_within_bound()
             ok = series.passed
-            record(rt.report_row("autocorrelation", bits.n, fraction, None, None, ok),
+            record(_report_row("autocorrelation", bits.n, fraction, None, None, ok),
                    f"autocorr  : n={bits.n} lags=1..{max_lag} "
                    f"within-bound={100 * fraction:.2f}% c0={series.c(0):g}",
                    ok)
             if args.autocorr_out:
-                write_lines(args.autocorr_out, rt.autocorr_csv(series))
+                write_lines(args.autocorr_out, _autocorr_csv(series))
     if args.report:
-        write_lines(args.report, rt.report_csv(rows))
+        write_lines(args.report, _report_csv(rows))
     if args.json:
         write_lines(args.json, [_report_json(rows)])
     print(f"{failures} of {len(args.tests)} checks failed" if failures
@@ -428,8 +464,11 @@ def run(argv=None) -> int:
     except _UsageError as exc:
         print(exc, file=sys.stderr)
         return 1
-    except (OtpRemctlError, OSError, ValueError, KeyError) as exc:
+    except (OtpRemctlError, OSError, ValueError, KeyError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # one the allocator raises carries no text
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

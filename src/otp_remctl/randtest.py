@@ -375,39 +375,3 @@ def pass_proportion(results) -> ProportionResult:
     passed = sum(1 for r in results if r.passed)
     lower = (1.0 - ALPHA) - 3.0 * math.sqrt(ALPHA * (1.0 - ALPHA) / m)
     return ProportionResult(m, passed, passed / m, lower)
-
-
-REPORT_FIELDS = ("test", "n", "statistic", "p_value", "alpha", "pass")
-
-
-def report_row(test: str, n: int, statistic, p_value, alpha, passed: bool) -> dict:
-    """One report row keyed by REPORT_FIELDS; None marks a value a check lacks."""
-    return dict(zip(REPORT_FIELDS, (test, n, statistic, p_value, alpha, passed)))
-
-
-def result_row(r: TestResult) -> dict:
-    """A test result as a report row."""
-    return report_row(r.test_name, r.n, r.statistic, r.p_value, ALPHA, r.passed)
-
-
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, float):
-        return format(value, ".10g")
-    return str(value)
-
-
-def report_csv(rows):
-    """CSV lines of report rows: None cells empty, floats .10g, booleans lowercase."""
-    yield ",".join(REPORT_FIELDS)
-    for row in rows:
-        yield ",".join(_csv_cell(row[k]) for k in REPORT_FIELDS)
-
-
-def autocorr_csv(series: AutocorrSeries):
-    """CSV lines of the full symmetric series: tau, c."""
-    yield "tau,c"
-    yield from map("{},{:.10g}".format, series.lags.tolist(), series.values.tolist())

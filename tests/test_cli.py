@@ -123,6 +123,26 @@ def test_gen_keys_missing_dir_is_runtime_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_gen_keys_beyond_the_address_space_is_runtime_error(tmp_path, capsys):
+    # os.urandom cannot take a count past ssize_t, so nothing is drawn.
+    out = tmp_path / "k.bin"
+    assert run(["gen-keys", "--source", "system", "--bytes", str(10 ** 20),
+                "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
+def test_gen_keys_out_of_memory_is_runtime_error(tmp_path, capsys, monkeypatch):
+    def no_memory(self, n):
+        raise MemoryError
+
+    monkeypatch.setattr(SeededSource, "_draw", no_memory)
+    out = tmp_path / "k.bin"
+    assert run(["gen-keys", "--source", "seeded:9", "--bytes", "16", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: out of memory\n"
+    assert not out.exists()
+
+
 def test_charge_builds_matched_stores(tmp_path):
     a, b = _charge(tmp_path, blocks=100)
     sa, sb = SksStore.load(a), SksStore.load(b)
@@ -451,13 +471,49 @@ def test_corpus_randtest_output_bytes_are_pinned(run_name, argv, audit_corpus, t
 
 
 @pytest.mark.parametrize("rows", [
-    [rt.report_row("frequency", 8192, 0.044194173824159216, 0.9647496261326772,
-                   rt.ALPHA, True)],
-    [rt.report_row("a\u00e9\"\\\n", 2 ** 70, float("nan"), float("inf"), -0.0, False),
-     rt.report_row("b", -1, -float("inf"), None, None, True)],
+    [cli._report_row("frequency", 8192, 0.044194173824159216, 0.9647496261326772,
+                     rt.ALPHA, True)],
+    [cli._report_row("a\u00e9\"\\\n", 2 ** 70, float("nan"), float("inf"), -0.0, False),
+     cli._report_row("b", -1, -float("inf"), None, None, True)],
 ], ids=["one-row", "edge-values"])
 def test_report_json_is_json_dumps_at_indent_2(rows):
     assert cli._report_json(rows) == json.dumps(rows, indent=2)
+
+
+def test_results_csv_format():
+    result = rt.TestResult("frequency", 100, 1.6, 0.1096)
+    lines = list(cli._report_csv(map(cli._result_row, [result])))
+    assert lines[0] == "test,n,statistic,p_value,alpha,pass"
+    assert lines[1].startswith("frequency,100,1.6,0.1096,0.01,true")
+
+
+def test_autocorr_csv_format():
+    series = rt.autocorrelation(rt.BitSequence([0, 1, 0, 1, 0, 1, 0, 1]), 1)
+    lines = list(cli._autocorr_csv(series))
+    assert lines[0] == "tau,c"
+    assert lines[1] == "-1,-1"
+    assert lines[2] == "0,1"
+    assert lines[3] == "1,-1"
+
+
+def test_report_csv_leaves_none_cells_empty():
+    rows = [cli._report_row("balance", 800, 0.25, None, None, True)]
+    assert list(cli._report_csv(rows)) == [
+        "test,n,statistic,p_value,alpha,pass",
+        "balance,800,0.25,,,true",
+    ]
+
+
+@pytest.mark.parametrize("alpha", [0.01, 0.05, 0.001, 0.123456, 1e-05, 0.5, 1.0])
+def test_results_csv_alpha_keeps_its_six_digit_format(alpha):
+    rows = [cli._report_row("frequency", 100, 1.6, 0.1096, alpha, True),
+            cli._report_row("runs", 100, 51.0, 0.9, alpha, False)]
+    # Whatever level a row records, its alpha cell reads as :g, which .10g
+    # reproduces up to six significant digits.
+    expected = "test,n,statistic,p_value,alpha,pass\n" + "".join(
+        f"{r['test']},{r['n']},{r['statistic']:.10g},{r['p_value']:.10g},"
+        f"{alpha:g},{str(r['pass']).lower()}\n" for r in rows)
+    assert "".join(f"{line}\n" for line in cli._report_csv(rows)) == expected
 
 
 def test_randtest_split_larger_than_input_is_runtime_error(tmp_path):

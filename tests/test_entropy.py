@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from otp_remctl.entropy import (
+    EntropySource,
     FileSource,
     SeededSource,
     SystemSource,
@@ -102,6 +103,11 @@ def test_file_source_replays_in_order(tmp_path):
     src = FileSource(p)
     assert src.fill(3) == bytes([0, 1, 2])
     assert src.fill(5) == bytes([3, 4, 5, 6, 7])
+
+
+def test_base_source_draws_nothing():
+    with pytest.raises(NotImplementedError):
+        EntropySource().fill(1)
 
 
 def test_file_source_exhaustion(tmp_path):

@@ -1,7 +1,9 @@
+import os
 import random
 import re
 import struct
 import tempfile
+import types
 import zlib
 from fractions import Fraction
 from pathlib import Path
@@ -302,6 +304,17 @@ def test_save_load_roundtrip(tmp_path, make_pair):
     assert loaded.take_block(8) == s.key_material[8 * 32:9 * 32]
 
 
+def test_store_equals_no_value_of_another_type(make_pair):
+    s, _ = make_pair(blocks=4)
+    assert (s == 1) is False and s != 1
+
+
+def test_store_repr_names_its_geometry_and_ledger(make_pair):
+    s, _ = make_pair(blocks=4)
+    s.take_block(1)
+    assert repr(s) == "SksStore(block_size=32, block_count=4, consumed=2)"
+
+
 def test_file_layout_is_bit_exact(tmp_path, make_pair):
     s, _ = make_pair(blocks=10)
     s.take_block(0)
@@ -389,6 +402,18 @@ def test_load_rejects_trailing_garbage(tmp_path, make_pair):
     s.save(p)
     p.write_bytes(p.read_bytes() + b"\x00")
     with pytest.raises(SksFormatError):
+        SksStore.load(p)
+
+
+def test_load_rejects_a_file_that_shrinks_after_its_size_is_read(tmp_path, make_pair,
+                                                                  monkeypatch):
+    s, _ = make_pair(blocks=4)
+    p = tmp_path / "s.sks"
+    s.save(p)
+    p.write_bytes(p.read_bytes()[:-2])
+    # fstat reports the saved size, as if the file were cut between fstat and the reads.
+    monkeypatch.setattr(os, "fstat", lambda fd: types.SimpleNamespace(st_size=145))
+    with pytest.raises(TruncatedFile, match=r"s\.sks: file ends before its checksum$"):
         SksStore.load(p)
 
 

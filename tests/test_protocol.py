@@ -440,6 +440,11 @@ def test_session_log_roundtrip(tmp_path):
     assert SessionLog.load(p) == log
 
 
+def test_session_log_equals_no_value_of_another_type():
+    log = SessionLog()
+    assert (log == 1) is False and log != 1
+
+
 class _ScriptedLink:
     """A channel that answers each frame as its script says.
 

@@ -12,7 +12,6 @@ from otp_remctl.entropy import SeededSource
 from otp_remctl.errors import BadLength, OutOfRange
 from otp_remctl.randtest import (
     BitSequence,
-    autocorr_csv,
     autocorrelation,
     count_runs,
     golomb_balance,
@@ -20,9 +19,6 @@ from otp_remctl.randtest import (
     monobit_frequency,
     nist_runs,
     pass_proportion,
-    report_csv,
-    report_row,
-    result_row,
     run_length_histogram,
     TestResult,
 )
@@ -450,38 +446,3 @@ def test_monobit_and_runs_agree_on_ones_count(seed):
     expected = abs(2 * seq.ones - seq.n) / math.sqrt(seq.n)
     assert r.statistic == pytest.approx(expected)
     assert 0.0 <= r.p_value <= 1.0
-
-
-def test_results_csv_format():
-    lines = list(report_csv(map(result_row, [TestResult("frequency", 100, 1.6, 0.1096)])))
-    assert lines[0] == "test,n,statistic,p_value,alpha,pass"
-    assert lines[1].startswith("frequency,100,1.6,0.1096,0.01,true")
-
-
-def test_autocorr_csv_format():
-    series = autocorrelation(BitSequence([0, 1, 0, 1, 0, 1, 0, 1]), 1)
-    lines = list(autocorr_csv(series))
-    assert lines[0] == "tau,c"
-    assert lines[1] == "-1,-1"
-    assert lines[2] == "0,1"
-    assert lines[3] == "1,-1"
-
-
-def test_report_csv_leaves_none_cells_empty():
-    rows = [report_row("balance", 800, 0.25, None, None, True)]
-    assert list(report_csv(rows)) == [
-        "test,n,statistic,p_value,alpha,pass",
-        "balance,800,0.25,,,true",
-    ]
-
-
-@pytest.mark.parametrize("alpha", [0.01, 0.05, 0.001, 0.123456, 1e-05, 0.5, 1.0])
-def test_results_csv_alpha_keeps_its_six_digit_format(alpha):
-    rows = [report_row("frequency", 100, 1.6, 0.1096, alpha, True),
-            report_row("runs", 100, 51.0, 0.9, alpha, False)]
-    # Whatever level a row records, its alpha cell reads as :g, which .10g
-    # reproduces up to six significant digits.
-    expected = "test,n,statistic,p_value,alpha,pass\n" + "".join(
-        f"{r['test']},{r['n']},{r['statistic']:.10g},{r['p_value']:.10g},"
-        f"{alpha:g},{str(r['pass']).lower()}\n" for r in rows)
-    assert "".join(f"{line}\n" for line in report_csv(rows)) == expected

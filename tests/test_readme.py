@@ -1,5 +1,6 @@
 """The README's ``python`` examples run against the current API, its
-randtest example prints what the README shows, and its "Library use"
+command-line examples exit 0, its randtest example prints what the README
+shows, and its "Library use"
 section names every name the package root exports; no module of the
 package imports a name that is private to another, and the per-frame code
 reads no attribute through a builtin type or an Enum class."""
@@ -38,6 +39,28 @@ def test_readme_audit_example_prints_its_block(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert run(randtest[1:]) == 0
     assert capsys.readouterr().out.splitlines() == printed.splitlines()
+
+
+def test_readme_command_line_examples_run(tmp_path, monkeypatch, capsys):
+    """Every command of the "Command line" shell blocks, in order, in one
+    directory: each exits 0, and the printf line's file is written as printf would."""
+    section = README.read_text().split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"^```sh\n(.*?)^```", section, re.M | re.S)
+    lines = [shlex.split(line) for block in blocks
+             for line in block.replace("\\\n", " ").splitlines()]
+    monkeypatch.chdir(tmp_path)
+    ran = []
+    for argv in lines:
+        if argv[0] == "printf":
+            text, redirect, path = argv[1:]
+            assert redirect == ">"
+            Path(path).write_text(text.replace("\\n", "\n"), encoding="utf-8")
+            continue
+        assert argv[0] == "otp-remctl", argv
+        assert run(argv[1:]) == 0, (argv, capsys.readouterr())
+        ran.append(argv[1])
+    assert ran == ["charge", "simulate", "intercept-export", "gen-keys", "randtest",
+                   "randtest", "demo"]
 
 
 def _root_exports() -> list[str]:
